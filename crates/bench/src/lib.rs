@@ -5,16 +5,12 @@
 //! * `pushsum` — one synchronous scalar push-sum step at several `n`.
 //! * `matvec` — the sparse `Sᵀ·v` product (the per-cycle exact cost).
 //! * `aggregation` — one vector-gossip step and one full small aggregation.
-//! * `engine` — sequential vs pool-parallel vector gossip step at
-//!   n ∈ {250, 1000, 4000} (the flat-arena hot path).
 //! * `bloom` — Bloom filter insert/query and rank-storage build.
 //! * `crypto` — SHA-256, HMAC and envelope seal/verify throughput.
 //! * `dht` — Chord lookup routing.
 //!
 //! These complement (not replace) the experiment harness in
 //! `gossiptrust-experiments`, which regenerates the paper's tables and
-//! figures; criterion tracks the raw component costs over time. The
-//! `bench_summary` binary distills the engine-step numbers into
-//! `BENCH_engine.json` for the recorded perf trajectory.
+//! figures; criterion tracks the raw component costs over time.
 
 #![forbid(unsafe_code)]

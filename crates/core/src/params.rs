@@ -82,19 +82,6 @@ pub fn bench_quick() -> bool {
     strict_bool_env("GT_BENCH_QUICK").unwrap_or(false)
 }
 
-/// `GT_TILE`: destination-column tile width (in `f64` elements) of the
-/// gossip engine's step kernel (default: 1024, i.e. 8 KiB per streamed
-/// array — three hot tiles fit comfortably in an L1d/L2 cache). Results
-/// are bit-identical for every width; only wall time changes. Exposed as
-/// a knob so cache-odd machines can be tuned without a rebuild.
-///
-/// # Panics
-/// Panics when `GT_TILE` is set to something other than a positive
-/// integer (see [`strict_positive_env`]).
-pub fn tile_width() -> usize {
-    strict_positive_env("GT_TILE").map(|v| v as usize).unwrap_or(1024)
-}
-
 /// `GT_N`: network-size override for experiments and service binaries.
 ///
 /// # Panics

@@ -11,71 +11,57 @@
 //! disturbance (forged pushes) used by the robustness experiments, and full
 //! instrumentation.
 //!
-//! ## Memory layout & the tiled step kernel
+//! ## Memory layout & the step kernel
 //!
 //! Node state lives in **flat row-major arenas**: one contiguous `Vec<f64>`
 //! holds many node rows back to back (`row i = &buf[r·n .. (r+1)·n]`), so a
 //! step streams each row linearly instead of chasing `n` separate heap
 //! allocations. The arenas are partitioned into *slabs* (one slab = one
-//! contiguous arena owning a block of consecutive rows). The slab is the
-//! unit of write ownership during a step: each slab's double buffer is
-//! owned by exactly one thread while a step is in flight, so parallel
-//! writes never alias without any locking or unsafe code. There are
-//! several slabs **per worker** (over-decomposition), so per-step
-//! load-balancing has units to move around — see *Scheduling* below.
+//! contiguous arena owning a block of consecutive rows), **one per
+//! step-executing thread**, with a fixed owner for the engine's life: the
+//! caller thread computes slab 0, pool worker `b` computes slab `b`. The
+//! slab is the unit of write ownership during a step: each slab's double
+//! buffer is held by exactly one thread while a step is in flight, so
+//! parallel writes never alias without any locking or unsafe code.
 //!
-//! The per-row kernel ([`step_slab`]) is a **column-tiled, multi-sender
-//! fused sweep**: destination columns are processed in
-//! [`EngineConfig::tile`]-wide tiles, and inside one tile the kernel writes
-//! the retained half, folds *all* senders' contributions (plus any forged
-//! disturbance mass) and runs the convergence/β bookkeeping before moving
-//! to the next tile. The write tile and its β tile stay cache-hot across
-//! every sender, so one step streams each array ~once — the untiled kernel
-//! re-streamed the full `n`-length write row once per sender plus once for
-//! convergence, which made the step memory-bandwidth-bound and parallel
-//! speedup impossible. The inner loops are fixed-stride `f64` walks over
-//! tile slices, shaped for auto-vectorization. The tile width is applied
-//! **per row**: rows with ≤ 1 sender (the Poisson(1) majority) and dead
-//! rows stream every array exactly once at any width, so they run untiled
-//! (`tile = n`) and keep their sweeps long; only multi-sender rows — the
-//! ones tiling exists for — use [`EngineConfig::tile`].
+//! The per-row kernel ([`step_slab`]) is one sweep: write the retained
+//! half, fold the row's senders' contributions (plus any forged
+//! disturbance mass), then one pass of convergence/β bookkeeping over the
+//! row. Uniform gossip gives a row Poisson(1) senders, so the 0- and
+//! 1-sender cases are fused into a single pass over the row. The inner
+//! loops are fixed-stride `f64` walks over whole rows, shaped for
+//! auto-vectorization.
 //!
 //! ## Determinism contract
 //!
 //! [`par_step`](VectorGossipEngine::par_step) is **bit-identical** to the
 //! sequential [`step`](VectorGossipEngine::step) for the same RNG state, for
-//! any thread count *and any tile width*, including under message loss,
-//! dead nodes and gossip disturbance. Four rules make this hold:
+//! any thread count, including under message loss, dead nodes and gossip
+//! disturbance. Three rules make this hold:
 //!
 //! 1. gossip targets and loss decisions are always drawn *sequentially* on
 //!    the caller thread, in ascending sender order;
 //! 2. deliveries are grouped **by receiver** and each receiver folds its
 //!    senders in ascending order (fixed floating-point addition order); the
 //!    sequential step uses the *same* receiver-grouped kernel;
-//! 3. tiling never reorders the operations on a single element: for every
-//!    destination `j` the kernel applies retain, then each sender's add in
-//!    ascending sender order (with that sender's forged mass immediately
-//!    after its add), exactly as the untiled sweep did — tiles only change
-//!    *which `j` is worked on when*, never the op sequence per `j` (the
-//!    `max`-fold of the convergence change is also kept in ascending-`j`
-//!    order across tiles);
-//! 4. per-row work (retain + merge + convergence bookkeeping) touches only
-//!    that row's state, so slab boundaries and slab→thread assignment
-//!    cannot change any value.
+//! 3. per-row work (retain + merge + convergence bookkeeping) touches only
+//!    that row's state, so slab boundaries and slab ownership cannot
+//!    change any value.
+//!
+//! The sequential `step` is the reference: the bit-identity test matrix
+//! and the `invariants` feature's per-step shadow run compare the pool's
+//! results against it.
 //!
 //! ## Scheduling
 //!
-//! A step's cost is dominated by per-row streaming: roughly
-//! `2 + senders(i)` array streams for row `i`. Gossip targets are drawn
-//! fresh every step, so the sender load over rows is skewed and shifts
-//! step to step. Each parallel step therefore distributes the slabs over
-//! the caller thread + workers by **sender-weighted cost** (greedy
-//! longest-processing-time assignment over the per-slab stream counts)
-//! instead of handing every thread a fixed equal share of rows. The
-//! shared read state is passed as persistent `Arc` arenas (cheap per-step
-//! `Arc` clones — the slab payloads are never moved or copied), and the
-//! freshly written slabs are published by **buffer swap** with the read
-//! arenas once all writers are done.
+//! Under uniform targets a contiguous share of the rows carries a
+//! near-equal share of the senders, so the split is static. The workers
+//! are a persistent pool (an epoch at n = 256 is ≈ 460 steps of ≈ 270 µs;
+//! spawning threads per step would show there). The shared read state is
+//! passed as persistent `Arc` arenas (cheap per-step `Arc` clones — the
+//! slab payloads are never moved or copied), and the freshly written
+//! slabs are published by **buffer swap** with the read arenas once all
+//! writers are done.
 //!
 //! ## Convergence detection
 //!
@@ -148,11 +134,6 @@ pub struct EngineConfig {
     /// Worker threads for [`VectorGossipEngine::par_step`].
     /// `1` = fully sequential. Results are bit-identical for every value.
     pub threads: usize,
-    /// Destination-column tile width (in `f64` elements) of the step
-    /// kernel. Results are bit-identical for every width ≥ 1; only wall
-    /// time changes. Defaults to
-    /// [`gossiptrust_core::params::tile_width`] (`GT_TILE`, 1024).
-    pub tile: usize,
 }
 
 impl EngineConfig {
@@ -169,7 +150,6 @@ impl EngineConfig {
             loss_rate: 0.0,
             corruption_steps: 3,
             threads: params.resolved_threads(),
-            tile: gossiptrust_core::params::tile_width(),
         }
     }
 
@@ -184,13 +164,6 @@ impl EngineConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "threads must be at least 1");
         self.threads = threads;
-        self
-    }
-
-    /// Builder-style setter for the kernel's column tile width (≥ 1).
-    pub fn with_tile(mut self, tile: usize) -> Self {
-        assert!(tile >= 1, "tile width must be at least 1");
-        self.tile = tile;
         self
     }
 }
@@ -255,9 +228,9 @@ struct SlabTask {
 /// Everything a step reads but never writes: the pre-step state (`Arc`
 /// handles onto the engine's persistent read arenas — cloning these is a
 /// refcount bump, the slab payloads never move), liveness, the disturbance
-/// table, the receiver-grouped send lists in CSR form (`senders of i =
-/// flat[offsets[i]..offsets[i+1]]`, ascending), and the kernel tile width.
-/// Shared immutably by all workers via `Arc`.
+/// table, and the receiver-grouped send lists in CSR form (`senders of i =
+/// flat[offsets[i]..offsets[i+1]]`, ascending). Shared immutably by all
+/// workers via `Arc`.
 struct StepRead {
     rows_per: usize,
     slabs: Vec<Arc<Slab>>,
@@ -266,7 +239,6 @@ struct StepRead {
     corrupt_active: bool,
     offsets: Vec<u32>,
     flat: Vec<u32>,
-    tile: usize,
 }
 
 impl StepRead {
@@ -280,176 +252,130 @@ impl StepRead {
     }
 }
 
-/// The column-tiled, multi-sender fused step kernel: for every row the
-/// worker owns, walk the destination columns in `read.tile`-wide tiles
-/// and, inside one tile, (a) write the retained half (or the frozen copy
-/// for a dead node), (b) fold the deliveries of this row's senders in
-/// ascending order — each sender's forged disturbance mass immediately
-/// after its honest add — and (c) run the convergence/β bookkeeping, all
-/// while the tile is cache-hot. One step thereby streams each array ~once
-/// instead of once per sender. Per destination element the operation
-/// sequence is exactly the untiled sweep's, so the kernel is bit-identical
-/// for every tile width; it is used verbatim by both the sequential and
-/// the parallel step, which is what makes *those* bit-identical.
 /// Gossip disturbance: add the forged extra mass sender `s` claims on top
 /// of its honest half (the receiver cannot tell — only signatures on
 /// *values* could, and push-sum values are sender-claimed). Forging is
-/// confined to the first `corruption_steps` of the cycle. Targets are
-/// kept sorted (see `set_corruption`), so the tile's share is one
-/// contiguous range. `px` is the sender's x row already sliced to
-/// `t0..t1`, like `nx`.
+/// confined to the first `corruption_steps` of the cycle. `px` is the
+/// sender's x row, `nx` the receiver's write row.
 #[inline]
-fn forge(read: &StepRead, s: usize, px: &[f64], nx: &mut [f64], t0: usize, t1: usize) {
+fn forge(read: &StepRead, s: usize, px: &[f64], nx: &mut [f64]) {
     if read.corrupt_active {
         if let Some((targets, factor)) = &read.corruption[s] {
-            let a = targets.partition_point(|&j| (j as usize) < t0);
-            let b = targets.partition_point(|&j| (j as usize) < t1);
-            for &j in &targets[a..b] {
-                let j = j as usize - t0;
+            for &j in targets {
+                let j = j as usize;
                 nx[j] += 0.5 * px[j] * (factor - 1.0);
             }
         }
     }
 }
 
+/// The step kernel: for every row the worker owns, (a) write the retained
+/// half (or the frozen copy for a dead node), (b) fold the deliveries of
+/// this row's senders in ascending order — each sender's forged
+/// disturbance mass immediately after its honest add — and (c) run the
+/// convergence/β bookkeeping over the merged row. Used verbatim by both
+/// the sequential and the parallel step, which is what makes those
+/// bit-identical.
 fn step_slab(read: &StepRead, task: &mut SlabTask) {
     let n = task.slab.n;
     let lo = task.slab.lo;
     for r in 0..task.slab.rows() {
         let i = lo + r;
-        let alive = read.alive[i];
         let (sx, sw) = read.row(i);
+        let nx = &mut task.slab.xs[r * n..(r + 1) * n];
+        let nw = &mut task.slab.ws[r * n..(r + 1) * n];
+        if !read.alive[i] {
+            // Frozen state carries over unchanged (a dead node also
+            // receives nothing: its senders were filtered at draw time).
+            nx.copy_from_slice(sx);
+            nw.copy_from_slice(sw);
+            task.out[r] = (true, 0.0);
+            continue;
+        }
+        // Uniform gossip gives a row Poisson(1) senders, so 0 and 1
+        // dominate; fuse their retain+merge into a single pass over the
+        // row (the same per-element op sequence as the general arm —
+        // `0.5·s` then `+ 0.5·p` — just without round-tripping the
+        // intermediate through the write slice, which cannot change a bit).
         let senders = read.senders(i);
-        // Per-row effective tile width. Tiling pays only when ≥ 2 senders
-        // would re-stream the write tile; the dominant 0/1-sender rows of
-        // Poisson(1) gossip (and frozen dead rows) stream every array
-        // exactly once at any width, so a fixed tile just chops their long
-        // auto-vectorized sweeps into chunks — the single-thread regression
-        // PR 4 left behind. Those rows take the untiled fast path
-        // (`tile = n`). Determinism rule 3 makes this free: the per-element
-        // op sequence is identical for every tile width.
-        let tile = if alive && senders.len() > 1 {
-            read.tile.max(1)
-        } else {
-            n
-        };
-        let nx_row = &mut task.slab.xs[r * n..(r + 1) * n];
-        let nw_row = &mut task.slab.ws[r * n..(r + 1) * n];
-        let beta_row = &mut task.beta[r * n..(r + 1) * n];
-        // Convergence accumulators carry across tiles; the `max` fold
-        // visits `j` in the same ascending order as the untiled sweep.
-        let mut change: f64 = 0.0;
-        let mut defined = true;
-        let mut t0 = 0;
-        while t0 < n {
-            let t1 = (t0 + tile).min(n);
-            let nx = &mut nx_row[t0..t1];
-            let nw = &mut nw_row[t0..t1];
-            if !alive {
-                // Frozen state carries over unchanged (a dead node also
-                // receives nothing: its senders were filtered at draw
-                // time, so the sender fold is empty).
-                nx.copy_from_slice(&sx[t0..t1]);
-                nw.copy_from_slice(&sw[t0..t1]);
-                t0 = t1;
-                continue;
-            }
-            // Uniform gossip gives a row Poisson(1) senders, so 0 and 1
-            // dominate; fuse their retain+merge into a single pass over
-            // the tile (identical per-element op sequence — `0.5·s` then
-            // `+ 0.5·p` — just without round-tripping the intermediate
-            // through the write slice, which cannot change a bit).
-            match *senders {
-                [] => {
-                    for (d, &s) in nx.iter_mut().zip(&sx[t0..t1]) {
-                        *d = 0.5 * s;
-                    }
-                    for (d, &s) in nw.iter_mut().zip(&sw[t0..t1]) {
-                        *d = 0.5 * s;
-                    }
+        match *senders {
+            [] => {
+                for (d, &s) in nx.iter_mut().zip(sx) {
+                    *d = 0.5 * s;
                 }
-                [s] => {
+                for (d, &s) in nw.iter_mut().zip(sw) {
+                    *d = 0.5 * s;
+                }
+            }
+            [s] => {
+                let s = s as usize;
+                let (px, pw) = read.row(s);
+                for ((d, &o), &p) in nx.iter_mut().zip(sx).zip(px) {
+                    *d = 0.5 * o + 0.5 * p;
+                }
+                for ((d, &o), &p) in nw.iter_mut().zip(sw).zip(pw) {
+                    *d = 0.5 * o + 0.5 * p;
+                }
+                forge(read, s, px, nx);
+            }
+            _ => {
+                for (d, &s) in nx.iter_mut().zip(sx) {
+                    *d = 0.5 * s;
+                }
+                for (d, &s) in nw.iter_mut().zip(sw) {
+                    *d = 0.5 * s;
+                }
+                for &s in senders {
                     let s = s as usize;
                     let (px, pw) = read.row(s);
-                    let px = &px[t0..t1];
-                    for ((d, &o), &p) in nx.iter_mut().zip(&sx[t0..t1]).zip(px) {
-                        *d = 0.5 * o + 0.5 * p;
+                    for (d, &v) in nx.iter_mut().zip(px) {
+                        *d += 0.5 * v;
                     }
-                    for ((d, &o), &p) in nw.iter_mut().zip(&sw[t0..t1]).zip(&pw[t0..t1]) {
-                        *d = 0.5 * o + 0.5 * p;
+                    for (d, &v) in nw.iter_mut().zip(pw) {
+                        *d += 0.5 * v;
                     }
-                    forge(read, s, px, nx, t0, t1);
-                }
-                _ => {
-                    for (d, &s) in nx.iter_mut().zip(&sx[t0..t1]) {
-                        *d = 0.5 * s;
-                    }
-                    for (d, &s) in nw.iter_mut().zip(&sw[t0..t1]) {
-                        *d = 0.5 * s;
-                    }
-                    for &s in senders {
-                        let s = s as usize;
-                        let (px, pw) = read.row(s);
-                        let px = &px[t0..t1];
-                        for (d, &v) in nx.iter_mut().zip(px) {
-                            *d += 0.5 * v;
-                        }
-                        for (d, &v) in nw.iter_mut().zip(&pw[t0..t1]) {
-                            *d += 0.5 * v;
-                        }
-                        forge(read, s, px, nx, t0, t1);
-                    }
+                    forge(read, s, px, nx);
                 }
             }
-            // Convergence bookkeeping, fused into the tile while the
-            // merged values are hot: every element of this tile already
-            // holds its final post-step value (all merges for a column
-            // happen within its tile).
-            if alive {
-                let beta = &mut beta_row[t0..t1];
-                for j in 0..t1 - t0 {
-                    let w = nw[j];
-                    if w > 0.0 {
-                        let b = nx[j] / w;
-                        let prev = beta[j];
-                        if prev.is_nan() {
-                            change = f64::INFINITY;
-                        } else {
-                            let denom = b.abs().max(f64::MIN_POSITIVE);
-                            change = change.max((b - prev).abs() / denom);
-                        }
-                        beta[j] = b;
-                    } else {
-                        defined = false;
-                        beta[j] = f64::NAN;
-                    }
-                }
-            }
-            t0 = t1;
         }
-        task.out[r] = if alive {
-            (defined, change)
-        } else {
-            (true, 0.0)
-        };
+        // Convergence bookkeeping over the merged row.
+        let beta = &mut task.beta[r * n..(r + 1) * n];
+        let mut change: f64 = 0.0;
+        let mut defined = true;
+        for j in 0..n {
+            let w = nw[j];
+            if w > 0.0 {
+                let b = nx[j] / w;
+                let prev = beta[j];
+                if prev.is_nan() {
+                    change = f64::INFINITY;
+                } else {
+                    let denom = b.abs().max(f64::MIN_POSITIVE);
+                    change = change.max((b - prev).abs() / denom);
+                }
+                beta[j] = b;
+            } else {
+                defined = false;
+                beta[j] = f64::NAN;
+            }
+        }
+        task.out[r] = (defined, change);
     }
 }
 
-/// A job handed to a pool worker: the shared read-state plus one slab it
-/// exclusively writes this step. A worker may receive several jobs per
-/// step (its cost-balanced share of the over-decomposed slabs).
+/// A job handed to a pool worker: the shared read-state plus the slab it
+/// exclusively writes this step.
 struct StepJob {
     read: Arc<StepRead>,
     task: SlabTask,
 }
 
-/// The persistent worker pool: `threads − 1` long-lived threads (the
-/// caller thread computes its own share of the slabs), created once per
-/// engine on the first parallel step and reused for every subsequent step
-/// and cycle — no per-step thread spawns. Work is exchanged by
-/// *ownership*: each step a worker receives its `SlabTask`s by value, one
-/// job per slab, and sends each back when done, so no locking or unsafe
-/// aliasing is involved.
+/// The persistent worker pool: one long-lived thread per slab but the
+/// first (the caller thread computes slab 0), created once per engine on
+/// the first parallel step and reused for every subsequent step and cycle
+/// — no per-step thread spawns. Work is exchanged by *ownership*: each
+/// step worker `b` receives slab `b`'s `SlabTask` by value and sends it
+/// back when done, so no locking or unsafe aliasing is involved.
 #[derive(Debug)]
 struct WorkerPool {
     job_txs: Vec<mpsc::Sender<StepJob>>,
@@ -492,23 +418,16 @@ impl Drop for WorkerPool {
     }
 }
 
-/// How many slabs each step-executing thread gets on average. > 1 so the
-/// per-step sender-weighted assignment has units to balance with; small
-/// enough that per-slab dispatch overhead stays negligible.
-const SLABS_PER_THREAD: usize = 4;
-
 /// The synchronous-round vector gossip engine.
 #[derive(Debug)]
 pub struct VectorGossipEngine {
     n: usize,
     config: EngineConfig,
-    /// Step-executing threads (caller + pool workers), ≥ 1: the
-    /// configured thread count clamped to `n`.
-    bins: usize,
     /// Rows per slab: slab `k` holds rows `k·rows_per ..`.
     rows_per: usize,
     /// Current state: persistent slab-partitioned flat arenas behind
-    /// `Arc`s. During a step every thread reads them through cheap `Arc`
+    /// `Arc`s, one slab per step-executing thread (caller + pool workers).
+    /// During a step every thread reads them through cheap `Arc`
     /// clones; `finish_step` reclaims uniqueness and swaps each freshly
     /// written buffer in. The payloads are allocated once and never move.
     cur: Vec<Arc<Slab>>,
@@ -517,8 +436,8 @@ pub struct VectorGossipEngine {
     tasks: Vec<Option<SlabTask>>,
     streaks: Vec<usize>,
     alive: Arc<Vec<bool>>,
-    /// Gossip disturbance: per-node sorted list of components whose pushed
-    /// x the node inflates, and the inflation factor (None = honest).
+    /// Gossip disturbance: per-node list of components whose pushed x the
+    /// node inflates, and the inflation factor (None = honest).
     corruption: Arc<CorruptionTable>,
     stats: GossipStats,
     step_idx: usize,
@@ -541,7 +460,6 @@ impl Clone for VectorGossipEngine {
         VectorGossipEngine {
             n: self.n,
             config: self.config.clone(),
-            bins: self.bins,
             rows_per: self.rows_per,
             // Deep-copy the read arenas: the clone must own its buffers
             // uniquely or the buffer-swap publish would see a shared Arc.
@@ -569,17 +487,11 @@ impl VectorGossipEngine {
     pub fn new(n: usize, config: EngineConfig) -> Self {
         assert!(n >= 2, "gossip needs at least two nodes");
         assert!(config.patience >= 1, "patience must be >= 1");
-        assert!(config.tile >= 1, "tile width must be at least 1");
-        let bins = config.threads.clamp(1, n);
-        // Over-decompose: several slabs per thread so the per-step
-        // sender-weighted assignment can balance skewed loads. Fully
-        // sequential engines keep one flat arena per buffer.
-        let slab_count = if bins == 1 {
-            1
-        } else {
-            (bins * SLABS_PER_THREAD).min(n)
-        };
-        let rows_per = n.div_ceil(slab_count);
+        // One slab per step-executing thread. Rounding `rows_per` up can
+        // leave fewer slabs than configured threads (n = 9, threads = 4 →
+        // 3 slabs of 3 rows); everything downstream counts the slabs
+        // actually built, never `config.threads`.
+        let rows_per = n.div_ceil(config.threads.clamp(1, n));
         let mut cur = Vec::new();
         let mut tasks = Vec::new();
         let mut lo = 0;
@@ -596,7 +508,6 @@ impl VectorGossipEngine {
         VectorGossipEngine {
             n,
             config,
-            bins,
             rows_per,
             cur,
             tasks,
@@ -628,17 +539,13 @@ impl VectorGossipEngine {
     /// node's own retained half stays honest, so the corruption is pure
     /// message forgery). `factor = 1` or an empty target list restores
     /// honesty.
-    pub fn set_corruption(&mut self, node: NodeId, mut targets: Vec<u32>, factor: f64) {
+    pub fn set_corruption(&mut self, node: NodeId, targets: Vec<u32>, factor: f64) {
         assert!(factor >= 0.0, "factor must be non-negative");
         assert!(targets.iter().all(|&t| (t as usize) < self.n), "corruption target out of range");
         let table = Arc::make_mut(&mut self.corruption);
         if targets.is_empty() || factor == 1.0 {
             table[node.index()] = None;
         } else {
-            // Sorted so the tiled kernel can slice a tile's share out with
-            // two binary searches. Reordering cannot change any value:
-            // each target element receives its own independent add.
-            targets.sort_unstable();
             table[node.index()] = Some((targets, factor));
         }
     }
@@ -875,7 +782,6 @@ impl VectorGossipEngine {
             corrupt_active,
             offsets: std::mem::take(&mut self.csr_offsets),
             flat: std::mem::take(&mut self.csr_flat),
-            tile: self.config.tile,
         }
     }
 
@@ -884,37 +790,6 @@ impl VectorGossipEngine {
         self.csr_flat = read.flat;
         // Dropping `read` here releases its slab `Arc` clones, restoring
         // unique ownership of the read arenas to the engine.
-    }
-
-    /// Distribute the slabs over the step-executing threads (bin 0 = the
-    /// caller) by **sender-weighted cost**: row `i` costs `2 + senders(i)`
-    /// array streams (retain/β plus one per delivery), summed per slab and
-    /// assigned greedily, heaviest slab first, to the least-loaded bin
-    /// (LPT). Deterministic: ties break on the lower slab / bin index.
-    /// Values cannot depend on the assignment — only wall time does.
-    fn weighted_bins(&self) -> Vec<Vec<usize>> {
-        let mut order: Vec<(u64, usize)> = (0..self.cur.len())
-            .map(|k| {
-                let lo = k * self.rows_per;
-                let hi = lo + self.cur[k].rows();
-                let sends = (self.csr_offsets[hi] - self.csr_offsets[lo]) as u64;
-                (2 * (hi - lo) as u64 + sends, k)
-            })
-            .collect();
-        order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut loads = vec![0u64; self.bins];
-        let mut bins = vec![Vec::new(); self.bins];
-        for (cost, k) in order {
-            let b = (0..self.bins).min_by_key(|&b| (loads[b], b)).expect("bins >= 1");
-            loads[b] += cost;
-            bins[b].push(k);
-        }
-        // Ascending within a bin: the owning thread then walks memory in
-        // address order.
-        for bin in &mut bins {
-            bin.sort_unstable();
-        }
-        bins
     }
 
     /// Publish the step by **buffer swap**: reclaim unique ownership of
@@ -932,8 +807,7 @@ impl VectorGossipEngine {
         }
         self.step_idx += 1;
         self.stats.steps += 1;
-        self.stats.bytes_streamed +=
-            crate::stats::step_bytes_estimate(self.n, self.csr_flat.len(), self.config.tile);
+        self.stats.bytes_streamed += crate::stats::step_bytes_estimate(self.n, self.csr_flat.len());
 
         let mut max_change: f64 = 0.0;
         let mut all = true;
@@ -992,15 +866,15 @@ impl VectorGossipEngine {
     /// worker pool, producing **bit-identical** results to the sequential
     /// step for the same RNG state — including under message loss, dead
     /// nodes and gossip disturbance (see the module docs for the
-    /// determinism contract). With `threads = 1` this *is* the sequential
-    /// step. The pool is spawned on the first call and reused across steps
-    /// and cycles.
+    /// determinism contract). With one slab (`threads = 1`) this *is* the
+    /// sequential step. The pool is spawned on the first call and reused
+    /// across steps and cycles.
     pub fn par_step<C: TargetChooser, R: Rng + ?Sized>(
         &mut self,
         chooser: &C,
         rng: &mut R,
     ) -> StepOutcome {
-        if self.bins == 1 {
+        if self.cur.len() == 1 {
             // Delegation: the sequential step carries the instrumentation,
             // so the step is never timed (or bytes-counted) twice.
             return self.step(chooser, rng);
@@ -1011,9 +885,8 @@ impl VectorGossipEngine {
         #[cfg(feature = "invariants")]
         let expected = self.expected_masses_after(corrupt_active);
         if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(self.bins - 1));
+            self.pool = Some(WorkerPool::new(self.cur.len() - 1));
         }
-        let assignment = self.weighted_bins();
         let read = Arc::new(self.make_read(corrupt_active));
         // Shadow run of the sequential kernel over a copy of every task:
         // the bit-identity contract checked against the pool's results
@@ -1030,25 +903,16 @@ impl VectorGossipEngine {
             }
             shadow
         };
-        // Bins 1.. go to the workers (one job per owned slab, queued up
-        // front); the caller thread computes bin 0's share meanwhile.
+        // Slab `b ≥ 1` goes to worker `b`; the caller thread computes
+        // slab 0 meanwhile.
         let pool = self.pool.as_ref().expect("pool just created");
-        let mut outstanding = 0;
-        for (b, slabs) in assignment.iter().enumerate().skip(1) {
-            for &k in slabs {
-                let task = self.tasks[k].take().expect("no step in flight");
-                pool.job_txs[b - 1]
-                    .send(StepJob { read: Arc::clone(&read), task })
-                    .expect("gossip worker exited");
-                outstanding += 1;
-            }
+        for (tx, slot) in pool.job_txs.iter().zip(&mut self.tasks[1..]) {
+            let task = slot.take().expect("no step in flight");
+            tx.send(StepJob { read: Arc::clone(&read), task })
+                .expect("gossip worker exited");
         }
-        for &k in &assignment[0] {
-            let mut own = self.tasks[k].take().expect("no step in flight");
-            step_slab(&read, &mut own);
-            self.tasks[k] = Some(own);
-        }
-        for _ in 0..outstanding {
+        step_slab(&read, self.tasks[0].as_mut().expect("no step in flight"));
+        for _ in 1..self.tasks.len() {
             let task = pool.result_rx.recv().expect("gossip worker panicked");
             let k = task.slab.lo / self.rows_per;
             self.tasks[k] = Some(task);
@@ -1155,23 +1019,17 @@ impl VectorGossipEngine {
         }
     }
 
-    /// Run until all alive nodes converge or the step budget is exhausted,
-    /// using the parallel step whenever the engine is configured with more
-    /// than one thread. Returns the number of steps taken in this call and
-    /// whether convergence was reached.
+    /// Run until all alive nodes converge or the step budget is exhausted.
+    /// Returns the number of steps taken in this call and whether
+    /// convergence was reached.
     pub fn run<C: TargetChooser, R: Rng + ?Sized>(
         &mut self,
         chooser: &C,
         rng: &mut R,
     ) -> (usize, bool) {
-        let parallel = self.bins > 1;
         let mut steps = 0;
         while steps < self.config.max_steps {
-            let out = if parallel {
-                self.par_step(chooser, rng)
-            } else {
-                self.step(chooser, rng)
-            };
+            let out = self.par_step(chooser, rng);
             steps += 1;
             if out.all_converged {
                 return (steps, true);
@@ -1511,9 +1369,9 @@ mod tests {
     }
 
     /// Pathologically skewed target distribution: every sender pushes to
-    /// node 0 or node 1, so a handful of rows carry (almost) the whole
-    /// sender load — the worst case for the per-step sender-weighted slab
-    /// assignment, and unreachable with `UniformChooser`. Self-pushes
+    /// node 0 or node 1, so the first two rows carry the whole sender load
+    /// — the worst case for the static slab split and the many-sender
+    /// kernel arm, and unreachable with `UniformChooser`. Self-pushes
     /// (sender 0/1 drawing itself) are allowed by the trait and exercise
     /// the merge-back path.
     struct HotspotChooser;
@@ -1533,53 +1391,64 @@ mod tests {
     /// Drive a sequential reference and one pool engine per thread count
     /// through 12 lockstep steps over the full fault matrix — message loss
     /// × gossip disturbance × dead nodes — asserting bit-identical state,
-    /// outcomes and counters after every step.
+    /// outcomes and counters after every step. The small sizes are the
+    /// ones where `⌈n / threads⌉` rows per slab leave fewer slabs than
+    /// configured threads (n = 9, threads = 4 → 3; n = 5, threads = 8 → 5).
     fn assert_bit_identity_matrix<C: TargetChooser>(chooser: &C, label: &str) {
-        let n = 32;
-        let m = star(n);
-        for loss in [0.0, 0.15] {
-            for corrupt in [false, true] {
-                for dead in [false, true] {
-                    let build = |threads: usize| {
-                        let mut e = VectorGossipEngine::new(
-                            n,
-                            config(n).with_loss_rate(loss).with_threads(threads),
-                        );
-                        e.seed(&m, &ReputationVector::uniform(n), &Prior::uniform(n), 0.15);
-                        if corrupt {
-                            e.set_corruption(NodeId(5), vec![5, 11], 4.0);
-                            e.set_corruption(NodeId(6), vec![6], 2.5);
-                        }
-                        if dead {
-                            e.kill(NodeId(9));
-                        }
-                        e
-                    };
-                    let mut seq = build(1);
-                    let mut rng_seq = StdRng::seed_from_u64(77);
-                    let mut pars: Vec<(VectorGossipEngine, StdRng)> = [1usize, 2, 3, 4, 8]
-                        .iter()
-                        .map(|&t| (build(t), StdRng::seed_from_u64(77)))
-                        .collect();
-                    for step in 0..12 {
-                        let a = seq.step(chooser, &mut rng_seq);
-                        for (par, rng_par) in pars.iter_mut() {
-                            let t = par.config().threads;
-                            let b = par.par_step(chooser, rng_par);
-                            assert_eq!(
-                                a, b,
-                                "outcome diverged ({label}, step={step}, threads={t}, \
-                                 loss={loss}, corrupt={corrupt}, dead={dead})"
+        for n in [5usize, 9, 32] {
+            let m = star(n);
+            let node = |k: usize| (k % n) as u32;
+            for loss in [0.0, 0.15] {
+                for corrupt in [false, true] {
+                    for dead in [false, true] {
+                        let build = |threads: usize| {
+                            let mut e = VectorGossipEngine::new(
+                                n,
+                                config(n).with_loss_rate(loss).with_threads(threads),
                             );
-                            for i in 0..n {
-                                let id = NodeId::from_index(i);
-                                assert_eq!(
-                                    seq.extract(id),
-                                    par.extract(id),
-                                    "node {i} state diverged ({label}, threads={t})"
-                                );
+                            e.seed(&m, &ReputationVector::uniform(n), &Prior::uniform(n), 0.15);
+                            if corrupt {
+                                e.set_corruption(NodeId(node(5)), vec![node(5), node(11)], 4.0);
+                                e.set_corruption(NodeId(node(6)), vec![node(6)], 2.5);
                             }
-                            assert_eq!(seq.stats(), par.stats());
+                            if dead {
+                                e.kill(NodeId(node(9)));
+                            }
+                            e
+                        };
+                        let mut seq = build(1);
+                        let mut rng_seq = StdRng::seed_from_u64(77);
+                        let mut pars: Vec<(VectorGossipEngine, StdRng)> = [1usize, 2, 3, 4, 8]
+                            .iter()
+                            .map(|&t| (build(t), StdRng::seed_from_u64(77)))
+                            .collect();
+                        for step in 0..12 {
+                            let a = seq.step(chooser, &mut rng_seq);
+                            for (par, rng_par) in pars.iter_mut() {
+                                let t = par.config().threads;
+                                let b = par.par_step(chooser, rng_par);
+                                assert_eq!(
+                                    a, b,
+                                    "outcome diverged ({label}, n={n}, step={step}, threads={t}, \
+                                     loss={loss}, corrupt={corrupt}, dead={dead})"
+                                );
+                                for i in 0..n {
+                                    let id = NodeId::from_index(i);
+                                    assert_eq!(
+                                        seq.extract(id),
+                                        par.extract(id),
+                                        "node {i} state diverged ({label}, n={n}, threads={t})"
+                                    );
+                                }
+                                assert_eq!(seq.stats(), par.stats());
+                            }
+                        }
+                        // One executor per slab actually built: the caller
+                        // plus exactly one worker for every further slab.
+                        for (par, _) in &pars {
+                            let workers = par.pool.as_ref().map_or(0, |p| p.handles.len());
+                            assert_eq!(workers + 1, par.cur.len(), "n={n}");
+                            assert!(par.cur.len() <= par.config().threads.min(n), "n={n}");
                         }
                     }
                 }
@@ -1596,91 +1465,11 @@ mod tests {
     }
 
     /// Same matrix under a maximally uneven sender load (all pushes land
-    /// on two rows): the sender-weighted slab assignment shifts work
-    /// between threads every step, and none of it may change a bit.
+    /// on the first two rows): the thread owning them does nearly all the
+    /// merging under the static split, and none of it may change a bit.
     #[test]
     fn par_step_is_bit_identical_under_skewed_sender_load() {
         assert_bit_identity_matrix(&HotspotChooser, "hotspot");
-    }
-
-    /// The kernel's column tile width must not change a single output bit:
-    /// sweep degenerate (1), non-dividing, exactly-dividing and
-    /// larger-than-row widths against the default, sequentially and with a
-    /// pool, under loss + corruption + a dead node.
-    #[test]
-    fn tile_width_is_bit_identical() {
-        let n = 33; // not a multiple of any swept width > 1
-        let m = star(n);
-        let build = |tile: usize, threads: usize| {
-            let mut e = VectorGossipEngine::new(
-                n,
-                config(n).with_loss_rate(0.1).with_threads(threads).with_tile(tile),
-            );
-            e.seed(&m, &ReputationVector::uniform(n), &Prior::uniform(n), 0.15);
-            e.set_corruption(NodeId(4), vec![2, 9, 30], 3.0);
-            e.kill(NodeId(7));
-            e
-        };
-        for threads in [1usize, 3] {
-            let mut reference = build(1024, threads);
-            let mut rng_ref = StdRng::seed_from_u64(55);
-            let mut swept: Vec<(VectorGossipEngine, StdRng)> = [1usize, 3, 8, 11, 32, 33]
-                .iter()
-                .map(|&tile| (build(tile, threads), StdRng::seed_from_u64(55)))
-                .collect();
-            for step in 0..10 {
-                let a = reference.par_step(&UniformChooser, &mut rng_ref);
-                for (eng, rng) in swept.iter_mut() {
-                    let tile = eng.config().tile;
-                    let b = eng.par_step(&UniformChooser, rng);
-                    assert_eq!(a, b, "outcome diverged (tile={tile}, step={step})");
-                    for i in 0..n {
-                        let id = NodeId::from_index(i);
-                        let (rx, rw) = reference.row(i);
-                        let (ex, ew) = eng.row(i);
-                        let same = |p: &[f64], q: &[f64]| {
-                            p.iter().zip(q).all(|(a, b)| a.to_bits() == b.to_bits())
-                        };
-                        assert!(
-                            same(rx, ex) && same(rw, ew),
-                            "row {id:?} bits diverged (tile={tile}, threads={threads})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// The sender-weighted LPT assignment: every slab lands in exactly one
-    /// bin, and a single overloaded slab is isolated from the rest.
-    #[test]
-    fn weighted_bins_isolate_a_hot_slab() {
-        let n = 32;
-        let mut engine = VectorGossipEngine::new(n, config(n).with_threads(2));
-        // threads=2 → 8 slabs of 4 rows. Forge a send table where rows
-        // 0..4 (slab 0) received 100 pushes and nobody else received any:
-        // slab 0 costs 2·4 + 100 = 108 streams, the others 8 each.
-        assert_eq!(engine.cur.len(), 8);
-        assert_eq!(engine.rows_per, 4);
-        engine.csr_offsets.fill(100);
-        for j in 0..4 {
-            engine.csr_offsets[j] = 25 * j as u32;
-        }
-        let bins = engine.weighted_bins();
-        assert_eq!(bins.len(), 2);
-        // LPT: the 108-cost slab goes first and alone; the seven 8-cost
-        // slabs (total 56) all fit the other bin before it catches up.
-        assert_eq!(bins[0], vec![0]);
-        assert_eq!(bins[1], vec![1, 2, 3, 4, 5, 6, 7]);
-        // And on a uniform table every bin gets a share, each slab once.
-        for (j, off) in engine.csr_offsets.iter_mut().enumerate() {
-            *off = j as u32;
-        }
-        let bins = engine.weighted_bins();
-        let mut seen: Vec<usize> = bins.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..8).collect::<Vec<_>>());
-        assert!(bins.iter().all(|b| !b.is_empty()));
     }
 
     /// The persistent pool survives reseeding: a parallel engine driven

@@ -3,29 +3,28 @@
 use serde::{Deserialize, Serialize};
 
 /// Estimated bytes of memory traffic one gossip step streams, for an
-/// `n`-node engine that delivered `delivered` pushes, with a step kernel
-/// tiled at `tile` destination columns (see `engine::step_slab`).
+/// `n`-node engine that delivered `delivered` pushes (see
+/// `engine::step_slab`).
 ///
-/// The model counts every array the tiled kernel touches exactly once —
-/// which is the point of the tiling (the untiled kernel re-streamed the
-/// write row once *per sender*):
+/// The model counts every array the kernel's one sweep touches exactly
+/// once:
 ///
 /// * own row read (`x` + `w`): `2n` f64 per row → `16n²` bytes,
 /// * next-state write (`x` + `w`): `16n²` bytes,
 /// * convergence memory `β` read + write: `16n²` bytes,
 /// * each delivered push reads the sender's `x`/`w` row once: `16n` bytes,
-/// * the CSR sender ids (u32) are re-read once per tile sweep:
-///   `4 · delivered · ⌈n/tile⌉` bytes.
+/// * the CSR sender ids (u32) are read once: `4 · delivered` bytes.
 ///
-/// It is an *estimate*: dead rows skip the β stream and cache residency
-/// makes real DRAM traffic lower, but the figure tracks the right order
-/// and, divided by step wall time, shows when the kernel is
-/// bandwidth-bound (compare against the machine's stream bandwidth).
-pub fn step_bytes_estimate(n: usize, delivered: usize, tile: usize) -> u64 {
+/// It is an *estimate*: dead rows skip the β stream, a row with several
+/// senders revisits its (cache-resident, `16n`-byte) write row once per
+/// extra sender, and cache residency makes real DRAM traffic lower, but
+/// the figure tracks the right order and, divided by step wall time,
+/// shows when the kernel is bandwidth-bound (compare against the
+/// machine's stream bandwidth).
+pub fn step_bytes_estimate(n: usize, delivered: usize) -> u64 {
     let n = n as u64;
     let delivered = delivered as u64;
-    let sweeps = n.div_ceil(tile.max(1) as u64);
-    48 * n * n + 16 * n * delivered + 4 * delivered * sweeps
+    48 * n * n + 16 * n * delivered + 4 * delivered
 }
 
 /// Counters accumulated by a gossip engine.
@@ -170,17 +169,15 @@ mod tests {
     /// checked against the hand-computed expansion for a small step.
     #[test]
     fn step_bytes_estimate_matches_the_model() {
-        // n = 8, 5 delivered pushes, tile 4 → 2 tile sweeps per row.
+        // n = 8, 5 delivered pushes.
         let n = 8u64;
         let delivered = 5u64;
         let expected = 48 * n * n            // own read + next write + β rw
             + 16 * n * delivered             // one sender-row read per push
-            + 4 * delivered * 2; // CSR ids re-read once per sweep
-        assert_eq!(step_bytes_estimate(8, 5, 4), expected);
-        // One tile covering the whole row: exactly one CSR sweep.
-        assert_eq!(step_bytes_estimate(8, 5, 1024), 48 * 64 + 16 * 8 * 5 + 4 * 5);
+            + 4 * delivered; // CSR ids, read once
+        assert_eq!(step_bytes_estimate(8, 5), expected);
         // No deliveries: pure state streaming.
-        assert_eq!(step_bytes_estimate(8, 0, 4), 48 * 64);
+        assert_eq!(step_bytes_estimate(8, 0), 48 * 64);
     }
 
     #[test]

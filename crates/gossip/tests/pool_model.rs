@@ -1,20 +1,19 @@
 //! A minimized model of the engine's **buffer-swap** step protocol (see
 //! `WorkerPool` / `finish_step` in `engine.rs`): the current state lives in
-//! persistent `Arc` arenas; each round the caller hands every worker its
-//! cost-balanced share of owned write tasks (several per worker — the
-//! engine over-decomposes slabs) plus `Arc` clones of the read state;
-//! workers fill their write buffers from the arenas, release the `Arc`,
-//! and send each task back over one shared result channel; the caller
-//! computes its own share, reclaims the read state with `Arc::try_unwrap`
+//! persistent `Arc` arenas, one slab per executor with a fixed owner
+//! (caller = slab 0, worker `b` = slab `b`); each round the caller hands
+//! every worker its one owned write task plus an `Arc` clone of the read
+//! state; workers fill their write buffer from the arenas, release the
+//! `Arc`, and send the task back over one shared result channel; the
+//! caller computes slab 0, reclaims the read state with `Arc::try_unwrap`
 //! / `Arc::get_mut`, and publishes by `mem::swap`ping every freshly
 //! written buffer with its read arena.
 //!
 //! The model checks the four properties the engine's safety rests on,
-//! under scheduling jitter, a round-varying slab→worker assignment and
-//! many rounds:
+//! under scheduling jitter and many rounds:
 //!
 //! 1. **ownership conservation** — every task comes back exactly once per
-//!    round (never lost, never duplicated), for any assignment;
+//!    round (never lost, never duplicated);
 //! 2. **release-before-publish** — `Arc::try_unwrap` on the shared read
 //!    handle and `Arc::get_mut` on every read arena succeed every round,
 //!    i.e. every worker dropped its references *before* reporting back;
@@ -55,7 +54,7 @@ struct Job {
 }
 
 const WORKERS: usize = 3;
-const SLABS: usize = 8; // over-decomposed: ~2 slabs per executor
+const SLABS: usize = WORKERS + 1; // one per executor; slab 0 is the caller's
 const ROUNDS: u64 = 400;
 const PAYLOAD: usize = 64;
 
@@ -116,29 +115,14 @@ fn buffer_swap_rounds_conserve_tasks_and_release_reads() {
 
     for round in 1..=ROUNDS {
         let read = Arc::new(Read { round, arenas: arenas.clone() });
-        // Round-varying assignment over caller + workers, like the
-        // engine's per-step sender-weighted binning: bin 0 is the caller.
-        let bin_of = |slab: usize| (slab + round as usize) % (WORKERS + 1);
-        let mut outstanding = 0;
-        for k in 0..SLABS {
-            let b = bin_of(k);
-            if b == 0 {
-                continue;
-            }
-            let task = tasks[k].take().expect("task checked out twice");
-            job_txs[b - 1]
-                .send(Job { read: Arc::clone(&read), task })
-                .expect("worker exited");
-            outstanding += 1;
+        // Fixed ownership, every round: slab `b ≥ 1` goes to worker `b`,
+        // the caller computes slab 0 meanwhile.
+        for (tx, slot) in job_txs.iter().zip(&mut tasks[1..]) {
+            let task = slot.take().expect("task checked out twice");
+            tx.send(Job { read: Arc::clone(&read), task }).expect("worker exited");
         }
-        for k in 0..SLABS {
-            if bin_of(k) == 0 {
-                let mut own = tasks[k].take().expect("task 0 checked out twice");
-                fill(&read, &mut own);
-                tasks[k] = Some(own);
-            }
-        }
-        for _ in 0..outstanding {
+        fill(&read, tasks[0].as_mut().expect("task 0 checked out"));
+        for _ in 0..WORKERS {
             let task = result_rx.recv().expect("worker panicked");
             let k = task.slab;
             assert!(tasks[k].is_none(), "task {k} returned twice in one round");
@@ -182,8 +166,7 @@ fn buffer_swap_rounds_conserve_tasks_and_release_reads() {
 
 /// Shutdown with jobs still in flight must not deadlock or lose a task:
 /// the drain pattern the engine relies on when the pool is dropped
-/// mid-stream. (Several queued jobs per channel is the steady state now —
-/// a worker owns its whole cost-balanced share of the slabs at once.)
+/// mid-stream.
 #[test]
 fn shutdown_with_inflight_jobs_is_clean() {
     let (result_tx, result_rx) = mpsc::channel::<Task>();

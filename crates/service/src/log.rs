@@ -167,7 +167,7 @@ impl FeedbackLog {
     /// workers (a tight-deadline epoch on a small service would pay pure
     /// overhead), so small logs always take the sequential sweep. The
     /// gossip crate's `WorkerPool` is not reused here on purpose: its task
-    /// protocol is specialized to slab tiles of the aggregation kernel,
+    /// protocol is specialized to the slabs of the aggregation kernel,
     /// and threading a second protocol through it would couple the ingest
     /// path to the engine's internals.
     ///
