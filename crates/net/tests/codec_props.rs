@@ -6,6 +6,8 @@
 
 use gossiptrust_net::codec::{FeedbackBatch, Push, MAX_BATCH_TARGETS};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_push() -> impl Strategy<Value = Push> {
     (
@@ -109,4 +111,73 @@ proptest! {
         let _ = Push::decode(&raw);
         let _ = FeedbackBatch::decode(&raw);
     }
+}
+
+// Seeded twins of the `FeedbackBatch` properties above: plain `#[test]`s
+// over fixed-seed inputs, so the decoder the `batch` verb feeds with
+// attacker bytes has a witness that executes where `proptest!` expands to
+// nothing.
+
+/// 64 seeded batches of 0–63 ratings; scores are raw 64-bit patterns (NaN
+/// payloads, subnormals, infinities) with the signed zeros forced in.
+fn seeded_batches() -> Vec<FeedbackBatch> {
+    let mut rng = StdRng::seed_from_u64(0xC0DEC);
+    (0..64usize)
+        .map(|k| {
+            let mut ratings: Vec<(u32, f64)> =
+                (0..k).map(|_| (rng.random(), f64::from_bits(rng.random()))).collect();
+            for (slot, special) in ratings.iter_mut().zip([-0.0, 0.0, f64::NAN, -f64::NAN]) {
+                slot.1 = special;
+            }
+            FeedbackBatch { rater: rng.random(), epoch_hint: rng.random(), ratings }
+        })
+        .collect()
+}
+
+#[test]
+fn batch_roundtrip_seeded() {
+    for batch in seeded_batches() {
+        let decoded = FeedbackBatch::decode(&batch.encode()).expect("own encoding decodes");
+        assert_eq!((decoded.rater, decoded.epoch_hint), (batch.rater, batch.epoch_hint));
+        let bits = |b: &FeedbackBatch| -> Vec<(u32, u64)> {
+            b.ratings.iter().map(|&(t, s)| (t, s.to_bits())).collect()
+        };
+        assert_eq!(bits(&decoded), bits(&batch));
+    }
+}
+
+#[test]
+fn batch_rejects_every_proper_prefix_and_trailing_bytes_seeded() {
+    for batch in seeded_batches() {
+        let raw = batch.encode().to_vec();
+        for keep in 0..raw.len() {
+            assert!(FeedbackBatch::decode(&raw[..keep]).is_none(), "prefix {keep}/{}", raw.len());
+        }
+        for extra in 1..32 {
+            let mut longer = raw.clone();
+            longer.resize(raw.len() + extra, 0xA5);
+            assert!(FeedbackBatch::decode(&longer).is_none(), "{extra} trailing bytes");
+        }
+    }
+}
+
+#[test]
+fn batch_rejects_count_above_cap_seeded() {
+    let header = |claimed: u32| {
+        let mut raw = vec![0u8; 8];
+        raw.extend_from_slice(&claimed.to_le_bytes());
+        raw
+    };
+    // A bare header claiming up to 4 Gi ratings: refused, not reserved for.
+    for claimed in [MAX_BATCH_TARGETS as u32 + 1, 1 << 24, u32::MAX] {
+        assert!(FeedbackBatch::decode(&header(claimed)).is_none(), "claimed {claimed}");
+    }
+    // Only the cap can refuse a frame whose payload matches its claim.
+    let over = MAX_BATCH_TARGETS + 1;
+    let mut consistent = header(over as u32);
+    consistent.resize(12 + 12 * over, 0);
+    assert!(FeedbackBatch::decode(&consistent).is_none(), "one past the cap");
+    consistent.truncate(12 + 12 * MAX_BATCH_TARGETS);
+    consistent[8..12].copy_from_slice(&(MAX_BATCH_TARGETS as u32).to_le_bytes());
+    assert!(FeedbackBatch::decode(&consistent).is_some(), "exactly the cap");
 }

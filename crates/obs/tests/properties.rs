@@ -82,3 +82,56 @@ proptest! {
         prop_assert_eq!(left.snapshot(), right.snapshot());
     }
 }
+
+// Seeded twins of the two bucket-scheme properties above: plain `#[test]`s
+// that execute where `proptest!` expands to nothing. The generator is
+// inline so this crate keeps zero dependencies, dev included.
+
+/// splitmix64 (Steele, Lea & Flood): one 64-bit draw per call.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Every power-of-two edge of the u64 line, then 10 000 seeded draws
+/// shifted to a seeded magnitude (raw draws would all sit in the top
+/// octaves).
+fn seeded_samples() -> Vec<u64> {
+    let mut samples = vec![0, 1, u64::MAX];
+    for k in 1..64 {
+        let p = 1u64 << k;
+        samples.extend([p - 1, p, p + 1]);
+    }
+    let mut state = 0x0B5_5EED;
+    samples.extend((0..10_000).map(|_| splitmix64(&mut state) >> (splitmix64(&mut state) % 64)));
+    samples
+}
+
+#[test]
+fn bucket_contains_its_sample_seeded() {
+    for v in seeded_samples() {
+        let i = Histogram::bucket_index(v);
+        let (lo, hi) = Histogram::bucket_bounds(i);
+        assert!(lo <= v && v <= hi, "v={v} not in bucket {i} [{lo}, {hi}]");
+        assert!(v == 0 || Histogram::bucket_index(v - 1) <= i, "index not monotone below {v}");
+        assert!(v == u64::MAX || Histogram::bucket_index(v + 1) >= i, "not monotone above {v}");
+    }
+}
+
+#[test]
+fn buckets_tile_without_gaps_seeded() {
+    // Exhaustive rather than sampled (there are only `BUCKETS` of them):
+    // each bucket starts right after the previous one ends, and the first
+    // and last pin the two ends of the u64 line.
+    use gossiptrust_obs::metrics::BUCKETS;
+    assert_eq!(Histogram::bucket_bounds(0).0, 0);
+    assert_eq!(Histogram::bucket_bounds(BUCKETS - 1).1, u64::MAX);
+    for i in 0..BUCKETS - 1 {
+        let (_, hi) = Histogram::bucket_bounds(i);
+        let (lo_next, _) = Histogram::bucket_bounds(i + 1);
+        assert_eq!(hi + 1, lo_next, "gap or overlap after bucket {i}");
+    }
+}

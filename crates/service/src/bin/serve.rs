@@ -12,7 +12,8 @@
 //! * `GT_EPOCH_MS` — epoch period in milliseconds (default 1000)
 //! * `GT_SERVICE_ADDR` — TCP listen address (default `127.0.0.1:7401`)
 //! * `GT_THREADS` — gossip engine worker threads (default: machine)
-//! * `GT_CONN_LIMIT` — concurrent-connection cap (default 1024)
+//! * `GT_CONN_LIMIT` — concurrent-connection cap, one OS thread each
+//!   (default 1024)
 //! * `GT_READ_TIMEOUT_MS` — per-line read deadline (default 30000)
 //! * `GT_EPOCH_DEADLINE_MS` — epoch abandonment budget (default 30000)
 //! * `GT_INGEST_QUEUE` — unfolded-backlog bound before load-shedding
@@ -36,7 +37,7 @@ use gossiptrust_core::params::{
     obs_events, read_timeout_ms, service_addr, wal_dir, wal_group_max, wal_group_us,
 };
 use gossiptrust_serve::chaos::{ChaosConfig, ChaosInjector};
-use gossiptrust_serve::server::ServerConfig;
+use gossiptrust_serve::server::{serve_metrics_on, serve_with, ServerConfig};
 use gossiptrust_serve::service::{ReputationService, ServiceConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,29 +82,17 @@ fn main() {
         println!("gossiptrust-serve: CHAOS DRILL armed (GT_CHAOS_SEED) — injecting faults");
     }
 
-    let runtime = tokio::runtime::Builder::new_multi_thread()
-        .enable_all()
-        .build()
-        .expect("build tokio runtime");
-    let scrape_addr = metrics_addr();
-    let scrape_handle = service.handle();
-    let serve_handle = service.handle();
-    let result = runtime.block_on(async move {
-        if let Some(scrape_addr) = scrape_addr {
-            println!("gossiptrust-serve: metrics scrape listener on {scrape_addr}");
-            tokio::spawn(async move {
-                let listener = tokio::net::TcpListener::bind(&scrape_addr)
-                    .await
-                    .expect("bind GT_METRICS_ADDR");
-                gossiptrust_serve::server::serve_metrics_on(scrape_handle, listener)
-                    .await
-                    .expect("metrics listener");
-            });
-        }
-        gossiptrust_serve::server::serve_with(serve_handle, &addr, server_config).await
-    });
-    // serve() only returns on a bind/accept error; surface it and stop the
-    // epoch loop cleanly.
+    if let Some(scrape_addr) = metrics_addr() {
+        println!("gossiptrust-serve: metrics scrape listener on {scrape_addr}");
+        let listener = std::net::TcpListener::bind(&scrape_addr).expect("bind GT_METRICS_ADDR");
+        let scrape_handle = service.handle();
+        std::thread::spawn(move || {
+            serve_metrics_on(scrape_handle, listener).expect("metrics listener")
+        });
+    }
+    let result = serve_with(service.handle(), &addr, server_config);
+    // serve_with() only returns on a bind/accept error; surface it and stop
+    // the epoch loop cleanly.
     service.shutdown();
     result.expect("serve");
 }

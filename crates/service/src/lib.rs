@@ -41,8 +41,8 @@
 //! * [`service`] — the in-process [`service::ServiceHandle`] front-end,
 //!   with a bounded-backlog admission gate (`GT_INGEST_QUEUE`) that sheds
 //!   retriably instead of buffering without bound.
-//! * [`server`] — a tokio line-delimited-JSON TCP front-end in
-//!   `gossiptrust-net` style; bulk ingest reuses the binary
+//! * [`server`] — the blocking `std::net` line-delimited-JSON TCP
+//!   front-end, one thread per connection; bulk ingest reuses the binary
 //!   `gossiptrust-net` codec ([`gossiptrust_net::codec::FeedbackBatch`]).
 //!   Hardened with a connection-limit accept gate (`GT_CONN_LIMIT`) and a
 //!   per-line read deadline (`GT_READ_TIMEOUT_MS`) that reaps slow-loris
@@ -59,9 +59,6 @@
 //!   delayed / duplicated / truncated response frames, stalled clients,
 //!   epoch panics and overruns — all from one seeded RNG, never ambient
 //!   entropy.
-//! * [`loadgen`] — a Zipf query-mix load generator (the `loadgen` bin)
-//!   writing `BENCH_service.json`; retries shed/overloaded requests with
-//!   decorrelated-jitter backoff under a per-request deadline budget.
 //! * [`obs`] — the [`obs::ServiceObs`] bundle from `gossiptrust-obs`: one
 //!   shared metrics registry + span tracer recording query/ingest/request
 //!   latencies, per-phase epoch timing, WAL fsync timing and the gossip
@@ -69,6 +66,17 @@
 //!   `GT_METRICS_ADDR` listener as Prometheus text.
 //!
 //! ## Concurrency contract
+//!
+//! One model — plain `std` threads, no async runtime: the **epoch thread**
+//! (fold → gossip cycles → publish, the only writer of the snapshot cell),
+//! the **WAL writer** (group commit; acks each record after its write),
+//! the **engine pool** (gossip step workers, driven only by the epoch
+//! thread), and **one thread per TCP connection** behind the accept gate.
+//! What may block what: a connection thread parks on its own socket, on
+//! its own WAL ack (`feedback` / `batch`) or on the epoch it asked for
+//! (the `epoch` verb) — and on nothing another connection holds beyond the
+//! per-shard ingest locks below. The epoch thread never waits on a
+//! connection; the scrape listener serves inline on its own accept thread.
 //!
 //! Reads (`get_score`, `top_k`, `rank_of`) clone an `Arc` out of the
 //! [`snapshot::SnapshotCell`] and then run entirely on the immutable
@@ -86,7 +94,6 @@
 pub mod chaos;
 pub mod epoch;
 pub mod json;
-pub mod loadgen;
 pub mod log;
 pub mod obs;
 pub mod server;

@@ -2,9 +2,9 @@
 //! pre-fetched handles for every metric the stack records.
 //!
 //! One [`ServiceObs`] is created per service and shared (as an `Arc`) by
-//! the epoch manager, the query/ingest handle, the TCP front-end, the
-//! chaos soak and the load generator — everyone records into the same
-//! registry, so one scrape shows the whole stack.
+//! the epoch manager, the query/ingest handle, the TCP front-end and the
+//! chaos soak — everyone records into the same registry, so one scrape
+//! shows the whole stack.
 //!
 //! ## Metric naming scheme
 //!
@@ -19,7 +19,7 @@
 use crate::chaos::ChaosReport;
 use crate::stats::StatsReport;
 use gossiptrust_gossip::engine::EngineObs;
-use gossiptrust_obs::{Counter, Histogram, Registry, Tracer};
+use gossiptrust_obs::{Histogram, Registry, Tracer};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -57,9 +57,6 @@ pub struct ServiceObs {
     /// One coalesced `write_all` + `flush` on the WAL writer thread,
     /// nanoseconds — the syscall cost each group amortizes.
     pub wal_commit_ns: Arc<Histogram>,
-    /// Backoff retries clients (the load generator) spent on shed
-    /// requests.
-    pub ingest_retries: Arc<Counter>,
     /// The gossip engine's step-timing/bytes hooks, backed by this
     /// registry (`gt_gossip_step_ns`, `gt_gossip_bytes_streamed_total`).
     pub engine: EngineObs,
@@ -86,7 +83,6 @@ impl ServiceObs {
             wal_fsync_ns: registry.histogram("gt_wal_fsync_ns"),
             wal_group_records: registry.histogram("gt_wal_group_records"),
             wal_commit_ns: registry.histogram("gt_wal_commit_ns"),
-            ingest_retries: registry.counter("gt_ingest_retries_total"),
             engine,
             registry,
         }
@@ -157,7 +153,6 @@ mod tests {
             "gt_wal_commit_ns",
             "gt_gossip_step_ns_bucket",
             "gt_gossip_bytes_streamed_total",
-            "gt_ingest_retries_total",
             "gt_requests_shed_total",
             "gt_chaos_epochs_panicked_total",
             "gt_epochs_published_total",

@@ -3,6 +3,9 @@
 use gossiptrust_core::vector::ReputationVector;
 use gossiptrust_storage::{BloomFilter, CountingBloomFilter, RankStorage, RankStorageConfig};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 proptest! {
     /// Bloom filters never produce false negatives.
@@ -127,6 +130,44 @@ proptest! {
             let stored = storage.rank_level(id);
             prop_assert!(stored < levels);
             prop_assert!(stored <= true_level, "{}: stored {} > true {}", id, stored, true_level);
+        }
+    }
+}
+
+/// Seeded twin of `counting_demotion_never_false_negative`: the same
+/// model over 200 fixed-seed demotion schedules, as a plain `#[test]` that
+/// executes where `proptest!` expands to nothing.
+#[test]
+fn counting_demotion_never_false_negative_seeded() {
+    for seed in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let peers: BTreeSet<u64> = (0..rng.random_range(1..150)).map(|_| rng.random()).collect();
+        let peers: Vec<u64> = peers.into_iter().collect();
+        let fp = rng.random_range(0.001..0.1);
+        let capacity = peers.len() + 8;
+        let mut buckets = [
+            CountingBloomFilter::with_rate(capacity, fp),
+            CountingBloomFilter::with_rate(capacity, fp),
+            CountingBloomFilter::with_rate(capacity, fp),
+        ];
+        let mut level = vec![0usize; peers.len()];
+        for &p in &peers {
+            buckets[0].insert(p);
+        }
+        for _ in 0..rng.random_range(0..300) {
+            let i = rng.random_range(0..peers.len());
+            if level[i] + 1 < buckets.len() {
+                buckets[level[i]].remove(peers[i]);
+                level[i] += 1;
+                buckets[level[i]].insert(peers[i]);
+            }
+        }
+        for (i, &p) in peers.iter().enumerate() {
+            assert!(
+                buckets[level[i]].contains(p),
+                "seed {seed}: peer {p} missing from its current bucket {}",
+                level[i]
+            );
         }
     }
 }

@@ -7,9 +7,10 @@ use gossiptrust_xtask::run_lint;
 use std::fs;
 use std::path::PathBuf;
 
-/// Build a minimal fake workspace with one violation per rule.
-fn seeded_workspace() -> PathBuf {
-    let root = std::env::temp_dir().join(format!("gt_lint_seeded_{}", std::process::id()));
+/// Build a minimal fake workspace with one violation per rule. `tag`
+/// keeps the two tests (which run in parallel) out of each other's tree.
+fn seeded_workspace(tag: &str) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("gt_lint_seeded_{}_{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     for dir in ["crates/gossip/src", "crates/app/src", "src"] {
         fs::create_dir_all(root.join(dir)).unwrap();
@@ -40,7 +41,7 @@ fn seeded_workspace() -> PathBuf {
 
 #[test]
 fn every_rule_class_catches_its_seeded_violation() {
-    let root = seeded_workspace();
+    let root = seeded_workspace("catch");
     let report = run_lint(&root).unwrap();
     let rules_hit: Vec<&str> = report.violations.iter().map(|v| v.rule).collect();
     for rule in [
@@ -66,7 +67,7 @@ fn every_rule_class_catches_its_seeded_violation() {
 
 #[test]
 fn waiving_every_violation_makes_the_tree_clean() {
-    let root = seeded_workspace();
+    let root = seeded_workspace("waive");
     let n_before = run_lint(&root).unwrap().violations.len();
     assert!(n_before >= 5);
     fs::write(

@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
-# Perf smoke: the obs-overhead budget check plus a quick-mode pass of the
-# service load generator, sized to finish in seconds on a shared runner.
-# Produces BENCH_obs.json, BENCH_service.json (marked "quick": true, with
-# the machine's core count) and METRICS_service.prom in the repo root.
+# Perf smoke: the obs-overhead budget check, sized to finish in seconds on
+# a shared runner. Produces BENCH_obs.json in the repo root.
 #
 #   scripts/perf_smoke.sh           # quick mode (default here)
 #
 # Wall times here are advisory: CI runs the job non-blocking (shared
-# runners are far too noisy to gate on wall time) and uploads the records
+# runners are far too noisy to gate on wall time) and uploads the record
 # as an artifact. Engine and end-to-end performance is measured by the
 # repository's benchmark, `bash benchmark/run.sh`.
 set -euo pipefail
@@ -17,10 +15,3 @@ cd "$(dirname "$0")/.."
 # seeded trajectories; exits nonzero (failing this script) if the obs
 # hooks cost more than their 2% budget. Writes BENCH_obs.json.
 GT_BENCH_QUICK=1 cargo run --release -p gossiptrust-bench --bin obs_overhead
-
-# Service pass: the loadgen bin replays the Zipf query mix, then runs the
-# pipelined durable-ingest benchmark (concurrent writers through the
-# group-commit WAL vs the serial mutexed-WAL baseline) and writes
-# BENCH_service.json with the `baseline_delta_ingest_speedup` field plus
-# METRICS_service.prom (the full Prometheus exposition of the query run).
-GT_BENCH_QUICK=1 cargo run --release -p gossiptrust-serve --bin loadgen
