@@ -209,33 +209,6 @@ pub fn wal_dir() -> Option<std::path::PathBuf> {
     }
 }
 
-/// `GT_WAL_GROUP_MAX`: maximum feedback records the WAL writer thread
-/// coalesces into one group commit (default 512). A larger group amortizes
-/// the `write_all` + `flush` syscall pair over more acknowledgments at the
-/// cost of holding early submitters' acks until the group commits.
-///
-/// # Panics
-/// Panics when `GT_WAL_GROUP_MAX` is set to something other than a
-/// positive integer (see [`strict_positive_env`]).
-pub fn wal_group_max() -> usize {
-    strict_positive_env("GT_WAL_GROUP_MAX")
-        .map(|v| v as usize)
-        .unwrap_or(512)
-}
-
-/// `GT_WAL_GROUP_US`: deadline, in microseconds, on how long the WAL
-/// writer keeps draining its queue into one group before committing
-/// (default 200). The deadline only bites under saturation — a group also
-/// commits the moment the queue empties or `GT_WAL_GROUP_MAX` is reached —
-/// and bounds how long the earliest submitter in a group waits for its ack.
-///
-/// # Panics
-/// Panics when `GT_WAL_GROUP_US` is set to something other than a
-/// positive integer (see [`strict_positive_env`]).
-pub fn wal_group_us() -> u64 {
-    strict_positive_env("GT_WAL_GROUP_US").unwrap_or(200)
-}
-
 /// `GT_CHAOS_SEED`: arm the deterministic fault-injection layer with this
 /// RNG seed (default: unset = chaos off). All chaos randomness flows from
 /// this one seed — no ambient entropy — so a fault schedule can be
@@ -569,12 +542,6 @@ mod tests {
         }
         if std::env::var("GT_WAL_DIR").is_err() {
             assert_eq!(wal_dir(), None);
-        }
-        if std::env::var("GT_WAL_GROUP_MAX").is_err() {
-            assert_eq!(wal_group_max(), 512);
-        }
-        if std::env::var("GT_WAL_GROUP_US").is_err() {
-            assert_eq!(wal_group_us(), 200);
         }
         if std::env::var("GT_CHAOS_SEED").is_err() {
             assert_eq!(chaos_seed(), None);

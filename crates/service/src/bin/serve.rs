@@ -20,11 +20,6 @@
 //!   (default 65536)
 //! * `GT_WAL_DIR` — write-ahead-log directory; set it to make every
 //!   acknowledged feedback event crash-durable (default: no WAL)
-//! * `GT_WAL_GROUP_MAX` — most records the WAL writer thread coalesces
-//!   into one group commit (default 512)
-//! * `GT_WAL_GROUP_US` — group-commit drain deadline in microseconds;
-//!   the writer stops absorbing queued submissions and flushes once the
-//!   deadline passes (default 200)
 //! * `GT_CHAOS_SEED` — arm the deterministic fault injector with this
 //!   seed (a chaos *drill* mode: epoch panics/overruns and response-frame
 //!   faults are injected on purpose; never set it in production)
@@ -34,7 +29,7 @@
 
 use gossiptrust_core::params::{
     chaos_seed, conn_limit, epoch_deadline_ms, ingest_queue, metrics_addr, network_size_override,
-    obs_events, read_timeout_ms, service_addr, wal_dir, wal_group_max, wal_group_us,
+    obs_events, read_timeout_ms, service_addr, wal_dir,
 };
 use gossiptrust_serve::chaos::{ChaosConfig, ChaosInjector};
 use gossiptrust_serve::server::{serve_metrics_on, serve_with, ServerConfig};
@@ -51,9 +46,7 @@ fn main() {
         .with_epoch_deadline(Duration::from_millis(epoch_deadline_ms()))
         .with_obs_events(obs_events());
     if let Some(dir) = wal_dir() {
-        config = config
-            .with_wal_dir(dir)
-            .with_wal_group(wal_group_max(), wal_group_us());
+        config = config.with_wal_dir(dir);
     }
     let drill = chaos_seed();
     if let Some(seed) = drill {

@@ -61,7 +61,7 @@
 //!   entropy.
 //! * [`obs`] — the [`obs::ServiceObs`] bundle from `gossiptrust-obs`: one
 //!   shared metrics registry + span tracer recording query/ingest/request
-//!   latencies, per-phase epoch timing, WAL fsync timing and the gossip
+//!   latencies, per-phase epoch timing, WAL append timing and the gossip
 //!   engine's step hooks, scraped via the `metrics` verb or the
 //!   `GT_METRICS_ADDR` listener as Prometheus text.
 //!
@@ -69,12 +69,13 @@
 //!
 //! One model — plain `std` threads, no async runtime: the **epoch thread**
 //! (fold → gossip cycles → publish, the only writer of the snapshot cell),
-//! the **WAL writer** (group commit; acks each record after its write),
 //! the **engine pool** (gossip step workers, driven only by the epoch
-//! thread), and **one thread per TCP connection** behind the accept gate.
+//! thread), and **one thread per TCP connection** behind the accept gate —
+//! the WAL has no thread of its own: a connection commits its own records.
 //! What may block what: a connection thread parks on its own socket, on
-//! its own WAL ack (`feedback` / `batch`) or on the epoch it asked for
-//! (the `epoch` verb) — and on nothing another connection holds beyond the
+//! the WAL mutex (`feedback` / `batch`; held by another connection for one
+//! ~1 µs `write_all` + `flush`) or on the epoch it asked for (the `epoch`
+//! verb) — and on nothing else another connection holds beyond the
 //! per-shard ingest locks below. The epoch thread never waits on a
 //! connection; the scrape listener serves inline on its own accept thread.
 //!
@@ -82,8 +83,8 @@
 //! [`snapshot::SnapshotCell`] and then run entirely on the immutable
 //! snapshot: no lock is ever held while an aggregation is in flight, so
 //! queries can never block on (or observe a torn state of) an epoch. The
-//! only mutexes on the write path are the per-shard ingest locks of the
-//! [`log::FeedbackLog`]. (The workspace pins its dependency set, so the
+//! only mutexes on the write path are the WAL lock and the per-shard ingest
+//! locks of the [`log::FeedbackLog`]. (The workspace pins its dependency set, so the
 //! cell uses `std::sync`'s reader–writer lock for the pointer swap instead
 //! of an external atomic-`Arc` crate; the critical section is a single
 //! refcount increment — see `SnapshotCell` docs.)

@@ -46,16 +46,14 @@ pub struct ServiceObs {
     pub epoch_publish_ns: Arc<Histogram>,
     /// Whole-epoch wall time, nanoseconds.
     pub epoch_total_ns: Arc<Histogram>,
-    /// WAL append + flush (the push-to-OS durability point), nanoseconds.
-    /// With the group-commit writer this is the submit→ack latency one
-    /// ingest observes, queueing included.
-    pub wal_fsync_ns: Arc<Histogram>,
-    /// Records coalesced into each WAL group commit (the writer thread's
-    /// batching efficiency: 1 = no coalescing, `GT_WAL_GROUP_MAX` = full
-    /// groups).
+    /// The WAL append as the ingest call sees it — encode + lock wait +
+    /// write — nanoseconds; minus `gt_wal_commit_ns` = time queued behind
+    /// other connections.
+    pub wal_append_ns: Arc<Histogram>,
+    /// Records per WAL commit: one submission (a single rating or one
+    /// whole batch) per `write_all` + `flush`.
     pub wal_group_records: Arc<Histogram>,
-    /// One coalesced `write_all` + `flush` on the WAL writer thread,
-    /// nanoseconds — the syscall cost each group amortizes.
+    /// One `write_all` + `flush` under the WAL lock, nanoseconds.
     pub wal_commit_ns: Arc<Histogram>,
     /// The gossip engine's step-timing/bytes hooks, backed by this
     /// registry (`gt_gossip_step_ns`, `gt_gossip_bytes_streamed_total`).
@@ -80,7 +78,7 @@ impl ServiceObs {
             epoch_aggregate_ns: registry.histogram("gt_epoch_aggregate_ns"),
             epoch_publish_ns: registry.histogram("gt_epoch_publish_ns"),
             epoch_total_ns: registry.histogram("gt_epoch_total_ns"),
-            wal_fsync_ns: registry.histogram("gt_wal_fsync_ns"),
+            wal_append_ns: registry.histogram("gt_wal_append_ns"),
             wal_group_records: registry.histogram("gt_wal_group_records"),
             wal_commit_ns: registry.histogram("gt_wal_commit_ns"),
             engine,
@@ -148,7 +146,7 @@ mod tests {
             "gt_epoch_aggregate_ns",
             "gt_epoch_publish_ns",
             "gt_epoch_total_ns",
-            "gt_wal_fsync_ns",
+            "gt_wal_append_ns",
             "gt_wal_group_records",
             "gt_wal_commit_ns",
             "gt_gossip_step_ns_bucket",

@@ -885,7 +885,7 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200 OK"), "status line: {head}");
         assert!(head.contains("text/plain; version=0.0.4"), "content type: {head}");
         assert!(body.contains("gt_epoch_fold_ns"), "exposition body:\n{body}");
-        assert!(body.contains("gt_wal_fsync_ns"), "exposition body:\n{body}");
+        assert!(body.contains("gt_wal_append_ns"), "exposition body:\n{body}");
 
         service.shutdown();
     }

@@ -62,12 +62,6 @@ pub struct ServiceConfig {
     /// Capacity of the observability trace ring, in events
     /// (`GT_OBS_EVENTS`).
     pub obs_events: usize,
-    /// Maximum records the WAL writer thread coalesces into one group
-    /// commit (`GT_WAL_GROUP_MAX`).
-    pub wal_group_max: usize,
-    /// Deadline on one WAL group drain, in microseconds
-    /// (`GT_WAL_GROUP_US`); only bites under saturation.
-    pub wal_group_us: u64,
 }
 
 impl ServiceConfig {
@@ -86,8 +80,6 @@ impl ServiceConfig {
             epoch_deadline: None,
             chaos: None,
             obs_events: 4096,
-            wal_group_max: 512,
-            wal_group_us: 200,
         }
     }
 
@@ -132,14 +124,6 @@ impl ServiceConfig {
     /// Builder-style setter for the trace-ring capacity.
     pub fn with_obs_events(mut self, events: usize) -> Self {
         self.obs_events = events;
-        self
-    }
-
-    /// Builder-style setter for the WAL group-commit knobs (max records
-    /// per group, drain deadline in microseconds).
-    pub fn with_wal_group(mut self, group_max: usize, group_us: u64) -> Self {
-        self.wal_group_max = group_max;
-        self.wal_group_us = group_us;
         self
     }
 }
@@ -242,12 +226,11 @@ pub struct ServiceHandle {
     cell: Arc<SnapshotCell>,
     stats: Arc<ServiceStats>,
     commands: Sender<EpochCommand>,
-    /// Crash-recovery WAL behind the group-commit writer thread; every
-    /// ingest submits here and blocks for its group's flush *before*
+    /// Crash-recovery WAL behind one mutex; every ingest commits here on
+    /// its own thread (one `write_all` + `flush` under the lock) *before*
     /// applying to the in-memory log, so a `kill -9` can lose
     /// unacknowledged events but never acknowledged ones (at-least-once on
-    /// replay). Submissions from concurrent connections coalesce into one
-    /// `write_all` + `flush` instead of serializing on a file mutex.
+    /// replay).
     wal: Option<Arc<GroupCommitWal>>,
     /// Admission-gate bound on `log.pending_events()`.
     ingest_capacity: u64,
@@ -298,9 +281,9 @@ impl ServiceHandle {
         self.admit()?;
         let event = FeedbackEvent { rater, target, score };
         if let Some(wal) = &self.wal {
-            let fsync = Stopwatch::start();
+            let append = Stopwatch::start();
             wal.append(&event).map_err(ServeError::Wal)?;
-            self.obs.wal_fsync_ns.record(fsync.elapsed_ns());
+            self.obs.wal_append_ns.record(append.elapsed_ns());
             self.stats.note_wal_appended(1);
         }
         self.log.record(event);
@@ -318,9 +301,9 @@ impl ServiceHandle {
         }
         self.admit()?;
         if let Some(wal) = &self.wal {
-            let fsync = Stopwatch::start();
+            let append = Stopwatch::start();
             wal.append_batch(rater, ratings).map_err(ServeError::Wal)?;
-            self.obs.wal_fsync_ns.record(fsync.elapsed_ns());
+            self.obs.wal_append_ns.record(append.elapsed_ns());
             self.stats.note_wal_appended(ratings.len() as u64);
         }
         self.log.record_batch(rater, ratings);
@@ -475,17 +458,12 @@ impl ReputationService {
                 log.record(*event);
             }
             stats.note_wal_replayed(replay.events.len() as u64);
-            // Hand the recovered file to the group-commit writer thread;
-            // from here on, ingest submits and the writer owns the fd.
-            Arc::new(GroupCommitWal::start(
-                wal,
-                config.wal_group_max,
-                Duration::from_micros(config.wal_group_us),
-                GroupCommitObs {
-                    group_records: Some(Arc::clone(&obs.wal_group_records)),
-                    commit_ns: Some(Arc::clone(&obs.wal_commit_ns)),
-                },
-            ))
+            // From here on the recovered file sits behind the ingest lock.
+            let commit_obs = GroupCommitObs {
+                group_records: Some(Arc::clone(&obs.wal_group_records)),
+                commit_ns: Some(Arc::clone(&obs.wal_commit_ns)),
+            };
+            Arc::new(GroupCommitWal::new(wal, commit_obs))
         });
         let chaos = config.chaos.map(|c| Arc::new(ChaosInjector::new(c)));
         let mut manager = EpochManager::new(
@@ -665,27 +643,23 @@ mod tests {
             .collect()
     }
 
-    /// Satellite regression: a writer-thread I/O failure must surface as a
-    /// typed `ServeError::Wal` on the submitting connection, with no ack
-    /// and no in-memory application (applied ⊇ acknowledged holds even
-    /// when the disk dies).
+    /// A WAL I/O failure must surface as a typed `ServeError::Wal` on the
+    /// ingesting connection, with no ack and no in-memory application
+    /// (applied ⊇ acknowledged holds even when the disk dies).
     #[test]
     fn wal_write_failure_is_typed_and_applies_nothing() {
         let dir = scratch_dir("walfail");
         let (wal, _) = Wal::open(&dir, 6).expect("open");
         let path = wal.path().to_path_buf();
         drop(wal);
-        // A read-only fd: every group commit the writer attempts fails.
+        // A read-only fd: every commit fails.
         let file = std::fs::OpenOptions::new()
             .read(true)
             .open(&path)
             .expect("reopen read-only");
-        let doomed = GroupCommitWal::start(
-            Wal::from_file_for_tests(file, path),
-            8,
-            Duration::from_micros(100),
-            GroupCommitObs::default(),
-        );
+        let header_len = file.metadata().expect("stat").len();
+        let doomed =
+            GroupCommitWal::new(Wal::at(file, path, header_len), GroupCommitObs::default());
         let (commands, _rx) = mpsc::channel();
         let handle = ServiceHandle {
             log: Arc::new(FeedbackLog::new(6, 2)),
@@ -711,6 +685,10 @@ mod tests {
             .expect_err("batch commit must fail");
         assert!(matches!(err, ServeError::Wal(_)));
         assert_eq!(handle.events_ingested(), 0, "failed commits must not apply to the log");
+        assert!(
+            handle.raw_rows().iter().all(|row| row.iter_raw().next().is_none()),
+            "no row may have gained an entry"
+        );
         assert_eq!(handle.stats_report().wal_appended_records, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

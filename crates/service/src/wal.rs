@@ -29,12 +29,14 @@
 //! prefix of valid records. The first torn record (truncated mid-write),
 //! CRC mismatch (bit flip), bad length tag or out-of-range peer id ends
 //! the replay: the file is truncated back to the end of the last valid
-//! record and appends continue from there. A torn tail therefore costs at
-//! most the events that were never acknowledged; acknowledged events are
-//! written (and pushed to the OS) before the acknowledgment, so a process
-//! crash — `kill -9` included — cannot lose them. (Surviving power loss
-//! would additionally need an fsync per append; that durability class is
-//! out of scope and documented in DESIGN.md §9.)
+//! record and appends continue from there. A header torn at creation (a
+//! proper prefix of this deployment's own) is the same case one step
+//! earlier: it is rewritten and the log starts empty. A torn tail therefore
+//! costs at most the events that were never acknowledged; acknowledged
+//! events are written (and pushed to the OS) before the acknowledgment, so
+//! a process crash — `kill -9` included — cannot lose them. (Surviving
+//! power loss would additionally need an fsync per append; that durability
+//! class is out of scope and documented in DESIGN.md §9.)
 //!
 //! Compaction is deliberately absent: the feedback log is append-only and
 //! cumulative across epochs (folds never consume it), so the WAL is simply
@@ -42,11 +44,11 @@
 
 use crate::log::FeedbackEvent;
 use gossiptrust_core::id::NodeId;
-use gossiptrust_obs::{Deadline, Histogram, Stopwatch};
+use gossiptrust_obs::{Histogram, Stopwatch};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// File header magic (8 bytes): format name + version.
@@ -107,11 +109,30 @@ pub struct WalReplay {
     pub truncated_bytes: u64,
 }
 
+/// Histogram handles the commit path records into (`None` = unrecorded;
+/// tests and tools run a WAL without a registry).
+#[derive(Clone, Debug, Default)]
+pub struct GroupCommitObs {
+    /// Records per commit (`gt_wal_group_records`): one submission — a
+    /// single rating or one whole batch — per commit.
+    pub group_records: Option<Arc<Histogram>>,
+    /// One `write_all` + `flush` (`gt_wal_commit_ns`), nanoseconds.
+    pub commit_ns: Option<Arc<Histogram>>,
+}
+
 /// An open write-ahead log: appends go to the end of the recovered prefix.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
     path: PathBuf,
+    /// Last committed record boundary: where a failed commit rolls back to.
+    committed_end: u64,
+    /// Set by a failed rollback: why every later append is refused.
+    poisoned: Option<String>,
+    obs: GroupCommitObs,
+    /// One-shot fault: the next commit writes this many bytes, then fails.
+    #[cfg(test)]
+    fail_after: Option<usize>,
 }
 
 /// Encode one event as a framed record (len | crc | payload).
@@ -139,42 +160,59 @@ pub fn encode_record(event: &FeedbackEvent) -> [u8; RECORD_LEN] {
     record
 }
 
-/// Little-endian `u32` at byte offset `off`; `None` when out of range.
-fn le_u32(bytes: &[u8], off: usize) -> Option<u32> {
-    let window = bytes.get(off..off.checked_add(4)?)?;
-    Some(window.iter().rev().fold(0u32, |acc, &b| (acc << 8) | b as u32))
+/// Encode one rater's batch as the contiguous run of records it commits as.
+fn encode_batch(rater: NodeId, ratings: &[(NodeId, f64)]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(ratings.len().saturating_mul(RECORD_LEN));
+    for &(target, score) in ratings {
+        bytes.extend_from_slice(&encode_record(&FeedbackEvent { rater, target, score }));
+    }
+    bytes
 }
 
-/// Little-endian `u64` at byte offset `off`; `None` when out of range.
-fn le_u64(bytes: &[u8], off: usize) -> Option<u64> {
-    let window = bytes.get(off..off.checked_add(8)?)?;
+/// Little-endian unsigned integer in the `len` bytes at offset `off`;
+/// `None` when out of range.
+fn le(bytes: &[u8], off: usize, len: usize) -> Option<u64> {
+    let window = bytes.get(off..off.checked_add(len)?)?;
     Some(window.iter().rev().fold(0u64, |acc, &b| (acc << 8) | b as u64))
 }
 
-/// Decode the payload of one framed record (CRC already checked by the
-/// caller); `None` when the payload is short, which replay treats as a
-/// torn tail.
-fn decode_payload(payload: &[u8]) -> Option<FeedbackEvent> {
-    let rater = le_u32(payload, 0)?;
-    let target = le_u32(payload, 4)?;
-    let bits = le_u64(payload, 8)?;
-    Some(FeedbackEvent {
-        rater: NodeId(rater),
-        target: NodeId(target),
-        score: f64::from_bits(bits),
-    })
+/// Decode one framed record of an `n`-peer log. `None` — short frame, bad
+/// length tag, CRC mismatch, peer id out of range — is where replay stops.
+fn decode_record(frame: &[u8], n: usize) -> Option<FeedbackEvent> {
+    let payload = frame.get(8..)?;
+    if le(frame, 0, 4)? != PAYLOAD_LEN as u64 || le(frame, 4, 4)? != u64::from(crc32(payload)) {
+        return None;
+    }
+    let (rater, target) = (le(payload, 0, 4)?, le(payload, 4, 4)?);
+    let event = FeedbackEvent {
+        rater: NodeId(rater as u32),
+        target: NodeId(target as u32),
+        score: f64::from_bits(le(payload, 8, 8)?),
+    };
+    ((rater as usize) < n && (target as usize) < n).then_some(event)
 }
 
 impl Wal {
-    /// Open (or create) the WAL for an `n`-peer population under `dir`,
-    /// replaying any existing records.
+    /// An open `file` whose valid prefix ends at byte `committed_end`.
+    pub(crate) fn at(file: File, path: PathBuf, committed_end: u64) -> Wal {
+        Wal {
+            file,
+            path,
+            committed_end,
+            poisoned: None,
+            obs: GroupCommitObs::default(),
+            #[cfg(test)]
+            fail_after: None,
+        }
+    }
+
+    /// Open (or create) the WAL for an `n`-peer population under `dir`
+    /// (created if missing), replaying any existing records.
     ///
-    /// Creates `dir` if missing. An existing file must carry the right
-    /// magic and the same `n` — a population mismatch means the operator
-    /// pointed the service at another deployment's log, which must abort
-    /// loudly rather than replay nonsense ids. The recovered prefix rule
-    /// is described in the module docs; after `open` returns, the file
-    /// contains exactly the records in [`WalReplay::events`].
+    /// An existing file must carry the right magic and the same `n`: another
+    /// deployment's log must abort loudly rather than replay nonsense ids.
+    /// After `open` returns, the file holds exactly [`WalReplay::events`]
+    /// (the recovered-prefix rule is in the module docs).
     pub fn open(dir: &Path, n: usize) -> io::Result<(Wal, WalReplay)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(FILE_NAME);
@@ -187,54 +225,39 @@ impl Wal {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
-        if bytes.is_empty() {
-            let mut header = [0u8; HEADER_LEN as usize];
-            let fields = MAGIC.into_iter().chain((n as u64).to_le_bytes());
-            for (dst, src) in header.iter_mut().zip(fields) {
-                *dst = src;
-            }
+        // A new file — or one torn while it was being created: fewer bytes
+        // than a header, all of them a prefix of *this* deployment's header.
+        // No record can have been acknowledged yet, so (re)write the header.
+        let header: Vec<u8> = MAGIC.into_iter().chain((n as u64).to_le_bytes()).collect();
+        if bytes.len() < header.len() && header.starts_with(&bytes) {
+            file.seek(SeekFrom::Start(0))?;
             file.write_all(&header)?;
             file.flush()?;
-            return Ok((Wal { file, path }, WalReplay::default()));
+            return Ok((Wal::at(file, path, HEADER_LEN), WalReplay::default()));
         }
+        let invalid = |what: String| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("{} {what}", path.display()))
+        };
         if bytes.len() < HEADER_LEN as usize || bytes.get(0..8) != Some(&MAGIC[..]) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{} is not a GTWAL1 file", path.display()),
-            ));
+            return Err(invalid("is not a GTWAL1 file".into()));
         }
         // The length check above guarantees the read; u64::MAX is an
         // impossible peer count, so the fallback can only mismatch.
-        let header_n = le_u64(&bytes, 8).unwrap_or(u64::MAX);
+        let header_n = le(&bytes, 8, 8).unwrap_or(u64::MAX);
         if header_n != n as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{} was written for n = {header_n}, this service has n = {n}",
-                    path.display()
-                ),
-            ));
+            return Err(invalid(format!(
+                "was written for n = {header_n}, this service has n = {n}"
+            )));
         }
 
         // Accept the longest valid prefix of records; anything after the
         // first torn/corrupt record is a tail to discard.
         let mut events = Vec::new();
         let mut good_end = HEADER_LEN as usize;
-        while let Some(frame) = bytes.get(good_end..good_end + RECORD_LEN) {
-            let (Some(len), Some(crc), Some(payload)) =
-                (le_u32(frame, 0), le_u32(frame, 4), frame.get(8..))
-            else {
-                break;
-            };
-            if len as usize != PAYLOAD_LEN || crc32(payload) != crc {
-                break;
-            }
-            let Some(event) = decode_payload(payload) else {
-                break;
-            };
-            if event.rater.index() >= n || event.target.index() >= n {
-                break;
-            }
+        while let Some(event) = bytes
+            .get(good_end..good_end + RECORD_LEN)
+            .and_then(|frame| decode_record(frame, n))
+        {
             events.push(event);
             good_end += RECORD_LEN;
         }
@@ -243,23 +266,55 @@ impl Wal {
             file.set_len(good_end as u64)?;
         }
         file.seek(SeekFrom::Start(good_end as u64))?;
-        Ok((Wal { file, path }, WalReplay { events, truncated_bytes }))
+        Ok((Wal::at(file, path, good_end as u64), WalReplay { events, truncated_bytes }))
     }
 
     /// Append one event. The record is written (and pushed to the OS)
     /// before this returns — only after that may the caller acknowledge.
     pub fn append(&mut self, event: &FeedbackEvent) -> io::Result<()> {
-        self.file.write_all(&encode_record(event))?;
-        self.file.flush()
+        self.commit(&encode_record(event), 1)
     }
 
     /// Append a batch of ratings from one rater as one contiguous write.
     pub fn append_batch(&mut self, rater: NodeId, ratings: &[(NodeId, f64)]) -> io::Result<()> {
-        let mut buf = Vec::with_capacity(ratings.len() * RECORD_LEN);
-        for &(target, score) in ratings {
-            buf.extend_from_slice(&encode_record(&FeedbackEvent { rater, target, score }));
+        self.commit(&encode_batch(rater, ratings), ratings.len() as u64)
+    }
+
+    /// The one commit path: one `write_all` + `flush`; on failure roll back
+    /// to the last committed boundary (replay stops at the first bad record,
+    /// so a later commit behind a torn middle would be acknowledged yet
+    /// lost), and refuse every later append if even that fails.
+    fn commit(&mut self, bytes: &[u8], records: u64) -> io::Result<()> {
+        if let Some(msg) = &self.poisoned {
+            return Err(io::Error::other(msg.clone()));
         }
-        self.file.write_all(&buf)?;
+        let sw = Stopwatch::start();
+        let result = self.write_and_flush(bytes);
+        if let Some(h) = &self.obs.commit_ns {
+            h.record(sw.elapsed_ns());
+        }
+        if let Some(h) = &self.obs.group_records {
+            h.record(records);
+        }
+        let Err(e) = &result else {
+            self.committed_end += bytes.len() as u64;
+            return result;
+        };
+        let end = self.committed_end;
+        let truncated = self.file.set_len(end);
+        if truncated.and_then(|()| self.file.seek(SeekFrom::Start(end))).is_err() {
+            self.poisoned = Some(format!("WAL unrecoverable after failed commit: {e}"));
+        }
+        result
+    }
+
+    fn write_and_flush(&mut self, bytes: &[u8]) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(k) = self.fail_after.take() {
+            self.file.write_all(bytes.get(..k).unwrap_or(bytes))?;
+            return Err(io::Error::other("injected write failure"));
+        }
+        self.file.write_all(bytes)?;
         self.file.flush()
     }
 
@@ -267,233 +322,57 @@ impl Wal {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// Wrap an arbitrary file handle as a `Wal` — the hook the write-error
-    /// regression tests use to hand the writer thread a doomed fd.
-    #[cfg(test)]
-    pub(crate) fn from_file_for_tests(file: File, path: PathBuf) -> Wal {
-        Wal { file, path }
-    }
 }
 
-/// One ingest's submission to the writer thread: pre-encoded record bytes
-/// plus the completion slot that is answered only after the group commit
-/// containing these records has flushed (or failed).
-struct Submission {
-    bytes: Vec<u8>,
-    records: u64,
-    ack: mpsc::Sender<Result<(), String>>,
-}
-
-/// Histogram handles the writer thread records into (`None` = unrecorded;
-/// tests and tools run the writer without a registry).
-#[derive(Clone, Debug, Default)]
-pub struct GroupCommitObs {
-    /// Records coalesced per commit (`gt_wal_group_records`).
-    pub group_records: Option<Arc<Histogram>>,
-    /// Coalesced write + flush latency per commit (`gt_wal_commit_ns`).
-    pub commit_ns: Option<Arc<Histogram>>,
-}
-
-/// The group-commit front of a [`Wal`]: one dedicated writer thread owns
-/// the file; ingest threads submit pre-encoded records over an mpsc
-/// channel and block on a completion slot. The writer drains everything
-/// already queued into a single `write_all` + `flush` — up to `group_max`
-/// records or the drain deadline — then completes every ack in the group.
-/// The append-before-ack contract is preserved record for record while
-/// the syscall pair is paid once per group instead of once per ingest,
-/// and ingest threads never contend on a file lock (the old
-/// `Arc<Mutex<Wal>>` handoff).
+/// The shared front of a [`Wal`]: one mutex, held by an ingesting connection
+/// for exactly one `write_all` + `flush`. Records are encoded outside the
+/// lock, the commit is [`Wal`]'s own, and the caller's return **is** the
+/// acknowledgment — so append-before-ack holds by construction, the file is
+/// byte-identical to sequential [`Wal::append`] calls in lock order (a batch
+/// is never split or interleaved), and a failed commit acks nobody.
 ///
-/// ## Byte identity
-///
-/// The on-disk layout is byte-identical to sequential [`Wal::append`]
-/// calls in commit order: submissions are concatenated whole, in queue
-/// order, and [`encode_record`] is the only encoder — no group header, no
-/// padding, no reordering inside a submission. Torn-tail replay therefore
-/// works on a group-committed file exactly as on a sequentially written
-/// one.
-///
-/// ## Failure handling
-///
-/// A failed group commit acks *every* submitter in the group with the
-/// error (never success), and the writer rolls the file back to the last
-/// committed record boundary so later groups cannot land after a torn
-/// middle — replay stops at the first bad record, so a record behind a
-/// tear would be silently lost even though it was acked. If the rollback
-/// itself fails the writer poisons: every later submission is refused
-/// outright. Either way the invariant stands: acknowledged records are a
-/// prefix of the durable file.
+/// Nothing is grouped (the name stays for the benchmark's sake): the WAL
+/// never syncs, so a commit is a ~1 µs `write`, and the writer thread this
+/// replaces cost 20–40× that in channel hops — numbers in DESIGN.md §9.
 #[derive(Debug)]
 pub struct GroupCommitWal {
-    /// `None` after shutdown begins; dropping the sender is what tells the
-    /// writer thread to drain and exit.
-    tx: Option<mpsc::Sender<Submission>>,
-    path: PathBuf,
-    writer: Option<std::thread::JoinHandle<()>>,
+    wal: Mutex<Wal>,
 }
 
 impl GroupCommitWal {
-    /// Take ownership of an open `wal` and start the writer thread.
-    ///
-    /// `group_max` caps the records coalesced per commit
-    /// (`GT_WAL_GROUP_MAX`); `group_deadline` bounds how long one drain
-    /// keeps absorbing arrivals under saturation (`GT_WAL_GROUP_US`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the OS refuses to spawn the writer thread — like the
-    /// epoch thread, the service cannot come up without it.
-    pub fn start(
-        wal: Wal,
-        group_max: usize,
-        group_deadline: Duration,
-        obs: GroupCommitObs,
-    ) -> Self {
-        let path = wal.path().to_path_buf();
-        let (tx, rx) = mpsc::channel();
-        let writer = std::thread::Builder::new()
-            .name("gt-wal".into())
-            .spawn(move || writer_loop(wal, rx, group_max.max(1), group_deadline, obs))
-            .expect("spawn WAL writer thread");
-        GroupCommitWal { tx: Some(tx), path, writer: Some(writer) }
+    /// Take ownership of an open `wal`; its commits record into `obs`.
+    pub fn new(mut wal: Wal, obs: GroupCommitObs) -> Self {
+        wal.obs = obs;
+        GroupCommitWal { wal: Mutex::new(wal) }
     }
 
-    /// Path of the underlying log file.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// [`GroupCommitWal::new`] under the signature `benchmark/src/probes.rs`
+    /// calls; the middle arguments tuned a writer thread that is gone.
+    /// Delete with the benchmark refresh of ROADMAP item 1b.
+    pub fn start(wal: Wal, _max: usize, _deadline: Duration, obs: GroupCommitObs) -> Self {
+        Self::new(wal, obs)
     }
 
-    /// Encode + submit one event and block until its group commits.
+    /// Encode and commit one event; `Ok` is the acknowledgment.
     pub fn append(&self, event: &FeedbackEvent) -> Result<(), String> {
-        self.submit(encode_record(event).to_vec(), 1)
+        self.commit(&encode_record(event), 1)
     }
 
-    /// Encode + submit one rater's batch as a single contiguous submission
-    /// (a batch is never split across groups) and block until the group
-    /// containing it commits.
+    /// Encode and commit one rater's batch as a single contiguous write;
+    /// an empty batch is `Ok` without touching the log.
     pub fn append_batch(&self, rater: NodeId, ratings: &[(NodeId, f64)]) -> Result<(), String> {
-        let mut bytes = Vec::with_capacity(ratings.len().saturating_mul(RECORD_LEN));
-        for &(target, score) in ratings {
-            bytes.extend_from_slice(&encode_record(&FeedbackEvent { rater, target, score }));
+        if ratings.is_empty() {
+            return Ok(());
         }
-        self.submit(bytes, ratings.len() as u64)
+        self.commit(&encode_batch(rater, ratings), ratings.len() as u64)
     }
 
-    fn submit(&self, bytes: Vec<u8>, records: u64) -> Result<(), String> {
-        let Some(tx) = self.tx.as_ref() else {
-            return Err("WAL writer is shut down".into());
-        };
-        let (ack_tx, ack_rx) = mpsc::channel();
-        tx.send(Submission { bytes, records, ack: ack_tx })
-            .map_err(|_| "WAL writer thread exited".to_string())?;
-        match ack_rx.recv() {
-            Ok(result) => result,
-            // The writer died between accepting the submission and acking:
-            // the records may or may not be durable, and the only honest
-            // answer is failure (no ack without a committed group).
-            Err(_) => Err("WAL writer thread exited before the group committed".to_string()),
-        }
-    }
-}
-
-impl Drop for GroupCommitWal {
-    fn drop(&mut self) {
-        // Disconnect the queue first so the writer commits what is still
-        // pending and exits, then join it — in-flight submissions are
-        // flushed (and acked) before the file closes.
-        self.tx = None;
-        if let Some(writer) = self.writer.take() {
-            let _ = writer.join();
-        }
-    }
-}
-
-/// The writer-thread body: block for the first submission, drain the rest
-/// of the queue into one buffer, commit with a single `write_all` +
-/// `flush`, ack the whole group.
-fn writer_loop(
-    mut wal: Wal,
-    rx: mpsc::Receiver<Submission>,
-    group_max: usize,
-    group_deadline: Duration,
-    obs: GroupCommitObs,
-) {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut acks: Vec<mpsc::Sender<Result<(), String>>> = Vec::new();
-    // Byte offset of the last committed record boundary — where a failed
-    // commit rolls the file back to.
-    let mut committed_end: u64 = 0;
-    let mut poisoned: Option<String> = match wal.file.stream_position() {
-        Ok(pos) => {
-            committed_end = pos;
-            None
-        }
-        Err(e) => Some(format!("WAL position unknown: {e}")),
-    };
-
-    while let Ok(first) = rx.recv() {
-        if let Some(msg) = &poisoned {
-            let _ = first.ack.send(Err(msg.clone()));
-            continue;
-        }
-        buf.clear();
-        acks.clear();
-        let mut records = first.records;
-        buf.extend_from_slice(&first.bytes);
-        acks.push(first.ack);
-        // Adaptive batch: absorb whatever is already queued — an empty
-        // queue commits immediately (no added latency at low load), a
-        // saturated queue commits at `group_max` records or the drain
-        // deadline so the earliest submitter's ack is never starved.
-        let deadline = Deadline::after(group_deadline);
-        while (records as usize) < group_max && !deadline.expired() {
-            match rx.try_recv() {
-                Ok(sub) => {
-                    records += sub.records;
-                    buf.extend_from_slice(&sub.bytes);
-                    acks.push(sub.ack);
-                }
-                // Empty or disconnected: the queue has drained, commit now.
-                Err(_) => break,
-            }
-        }
-
-        let sw = Stopwatch::start();
-        let result = wal
-            .file
-            .write_all(&buf)
-            .and_then(|()| wal.file.flush())
-            .map_err(|e| e.to_string());
-        if let Some(h) = &obs.commit_ns {
-            h.record(sw.elapsed_ns());
-        }
-        if let Some(h) = &obs.group_records {
-            h.record(records);
-        }
-        match &result {
-            Ok(()) => committed_end += buf.len() as u64,
-            Err(msg) => {
-                // Roll back to the last committed boundary so a later
-                // (successful) group cannot land behind a torn middle;
-                // replay stops at the first bad record, so that would lose
-                // acked records. An unrecoverable file poisons the writer.
-                let rolled_back = wal
-                    .file
-                    .set_len(committed_end)
-                    .and_then(|()| wal.file.seek(SeekFrom::Start(committed_end)).map(|_| ()))
-                    .is_ok();
-                if !rolled_back {
-                    poisoned = Some(format!("WAL unrecoverable after failed group commit: {msg}"));
-                }
-            }
-        }
-        // Ack only after the flush (or the rollback): every record in the
-        // group is durable, or every submitter hears the same failure — a
-        // failed group commit never acks success to anyone.
-        for ack in &acks {
-            let _ = ack.send(result.clone());
-        }
+    fn commit(&self, bytes: &[u8], records: u64) -> Result<(), String> {
+        // A holder that panicked mid-commit left the file and `committed_end`
+        // in an unknown relation; the std poison flag never clears, so every
+        // later append is refused here rather than acknowledged.
+        let mut wal = self.wal.lock().map_err(|_| "WAL lock holder panicked mid-commit")?;
+        wal.commit(bytes, records).map_err(|e| e.to_string())
     }
 }
 
@@ -509,7 +388,7 @@ mod tests {
         static SERIAL: AtomicU64 = AtomicU64::new(0);
         let serial = SERIAL.fetch_add(1, Ordering::Relaxed);
         let dir =
-            std::env::temp_dir().join(format!("gt-wal-test-{}-{tag}-{serial}", std::process::id()));
+            std::env::temp_dir().join(format!("gtwal-test-{}-{tag}-{serial}", std::process::id()));
         // A leftover directory from a crashed previous run would alias
         // this test's state; start clean.
         let _ = std::fs::remove_dir_all(&dir);
@@ -632,6 +511,48 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
+    /// A crash between `create` and the header's `write_all` leaves 1–15
+    /// bytes of header: `open` must finish the creation, not brick the
+    /// service until an operator deletes the file.
+    #[test]
+    fn torn_header_is_rewritten_and_the_log_starts_empty() {
+        let header: Vec<u8> = MAGIC.into_iter().chain(8u64.to_le_bytes()).collect();
+        for len in 1..HEADER_LEN as usize {
+            let dir = scratch_dir("torn-header");
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            std::fs::write(dir.join(FILE_NAME), &header[..len]).expect("tear");
+            let (mut wal, replay) = Wal::open(&dir, 8).expect("a torn creation must open");
+            assert_eq!(replay, WalReplay::default(), "prefix of {len} bytes");
+            wal.append(&ev(1, 2, 3.0)).expect("append");
+            drop(wal);
+            let bytes = std::fs::read(dir.join(FILE_NAME)).expect("read");
+            assert_eq!(&bytes[..HEADER_LEN as usize], &header[..], "header rewritten whole");
+            let (_, replay) = Wal::open(&dir, 8).expect("reopen");
+            assert_eq!(replay.events, vec![ev(1, 2, 3.0)]);
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
+    }
+
+    /// Only a prefix of *this* deployment's header is a torn creation: a
+    /// short file that differs anywhere, and a whole header for another
+    /// `n`, still refuse (and are left untouched).
+    #[test]
+    fn short_non_prefix_and_wrong_n_header_still_refuse() {
+        let mut short: Vec<u8> = MAGIC.into_iter().chain(8u64.to_le_bytes()).collect();
+        short.truncate(15);
+        short[14] ^= 1; // inside the high bytes of `n`
+        let other_n: Vec<u8> = MAGIC.into_iter().chain(9u64.to_le_bytes()).collect();
+        for content in [short, other_n[..9].to_vec(), other_n] {
+            let dir = scratch_dir("short-foreign");
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            std::fs::write(dir.join(FILE_NAME), &content).expect("write");
+            let err = Wal::open(&dir, 8).expect_err("not this deployment's header");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(std::fs::read(dir.join(FILE_NAME)).expect("read"), content);
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
+    }
+
     proptest! {
         /// Any event sequence round-trips bit-exactly through the framing,
         /// and any tail truncation recovers the longest intact prefix.
@@ -673,26 +594,24 @@ mod tests {
             std::fs::remove_dir_all(&dir).expect("cleanup");
         }
 
-        /// Group commit is byte-identical to sequential appends: whatever
-        /// order the writer drains concurrent submissions in, the file it
-        /// leaves behind equals a plain `Wal` appending the replayed event
-        /// sequence one record at a time — no group framing, no padding,
-        /// no reordering inside a batch.
+        /// The shared front is byte-identical to sequential appends:
+        /// whatever order concurrent submitters take the lock in, the file
+        /// they leave behind equals a plain `Wal` appending the replayed
+        /// event sequence one record at a time — no framing around a
+        /// submission, no padding, no reordering inside a batch.
         #[test]
         fn group_commit_file_is_byte_identical_to_sequential_appends(
             per_rater in proptest::collection::vec(
                 proptest::collection::vec((0u32..24, -1e6f64..1e6), 1..8),
                 1..6,
             ),
-            group_max in 1usize..32,
-            group_us in 1u64..500,
         ) {
-            check_group_matches_sequential(&per_rater, group_max, group_us);
+            check_group_matches_sequential(&per_rater);
         }
 
-        /// A tail torn mid-group replays the longest valid record prefix —
+        /// A tail torn mid-batch replays the longest valid record prefix —
         /// exactly as for sequentially appended files — and the log keeps
-        /// accepting group commits after recovery.
+        /// accepting commits after recovery.
         #[test]
         fn torn_tail_mid_group_replays_longest_valid_prefix(
             batches in proptest::collection::vec(
@@ -705,31 +624,38 @@ mod tests {
         }
     }
 
+    fn front(wal: Wal) -> GroupCommitWal {
+        GroupCommitWal::new(wal, GroupCommitObs::default())
+    }
+
+    /// Rewrite `events` through sequential `Wal::append` calls in a fresh
+    /// directory and return the bytes of that file.
+    fn sequential_bytes(events: &[FeedbackEvent], n: usize) -> Vec<u8> {
+        let dir = scratch_dir("sequential");
+        let (mut seq, _) = Wal::open(&dir, n).expect("open sequential");
+        for e in events {
+            seq.append(e).expect("sequential append");
+        }
+        let bytes = std::fs::read(seq.path()).expect("read sequential");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        bytes
+    }
+
     /// Shared body for the byte-identity property: drive `per_rater`
-    /// batches through a concurrent [`GroupCommitWal`], then assert the
-    /// resulting file equals a plain sequential `Wal` replaying the same
-    /// event order, and that every batch stayed contiguous.
-    fn check_group_matches_sequential(
-        per_rater: &[Vec<(u32, f64)>],
-        group_max: usize,
-        group_us: u64,
-    ) {
+    /// batches through a concurrently shared [`GroupCommitWal`], then
+    /// assert the resulting file equals a plain sequential `Wal` replaying
+    /// the same event order, and that every batch stayed contiguous.
+    fn check_group_matches_sequential(per_rater: &[Vec<(u32, f64)>]) {
         let dir = scratch_dir("group-prop");
         let (wal, _) = Wal::open(&dir, 24).expect("open");
-        let group = std::sync::Arc::new(GroupCommitWal::start(
-            wal,
-            group_max,
-            Duration::from_micros(group_us),
-            GroupCommitObs::default(),
-        ));
-        let path = group.path().to_path_buf();
+        let path = wal.path().to_path_buf();
+        let group = front(wal);
         // One submitting thread per rater: batches from different raters
-        // interleave however the queue happens to order them, batches
-        // from one rater stay in that rater's program order.
+        // interleave however the lock happens to order them.
         let total: usize = per_rater.iter().map(|b| b.len()).sum();
         std::thread::scope(|scope| {
             for (r, ratings) in per_rater.iter().enumerate() {
-                let group = std::sync::Arc::clone(&group);
+                let group = &group;
                 scope.spawn(move || {
                     let ratings: Vec<(NodeId, f64)> =
                         ratings.iter().map(|&(t, s)| (NodeId(t), s)).collect();
@@ -739,21 +665,15 @@ mod tests {
         });
         drop(group);
 
-        // Replay the group-committed file, then re-write the replayed
-        // sequence through sequential appends: bytes must match.
         let grouped_bytes = std::fs::read(&path).expect("read grouped");
         let (_, replay) = Wal::open(&dir, 24).expect("replay grouped");
-        assert_eq!(replay.truncated_bytes, 0, "group commit must not tear");
+        assert_eq!(replay.truncated_bytes, 0, "a commit must not tear");
         assert_eq!(replay.events.len(), total, "every acked record is durable");
-        let seq_dir = scratch_dir("group-prop-seq");
-        let (mut seq, _) = Wal::open(&seq_dir, 24).expect("open sequential");
-        for e in &replay.events {
-            seq.append(e).expect("sequential append");
-        }
-        let seq_path = seq.path().to_path_buf();
-        drop(seq);
-        let seq_bytes = std::fs::read(&seq_path).expect("read sequential");
-        assert_eq!(grouped_bytes, seq_bytes, "on-disk layout must be byte-identical");
+        assert_eq!(
+            grouped_bytes,
+            sequential_bytes(&replay.events, 24),
+            "on-disk layout must be byte-identical"
+        );
 
         // Each rater's batch stayed contiguous and in order: its records
         // appear as one uninterrupted run.
@@ -773,23 +693,21 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
-        std::fs::remove_dir_all(&seq_dir).expect("cleanup seq");
     }
 
-    /// Shared body for the torn-tail property: group-commit `batches`,
-    /// chop `cut` bytes off the tail, and assert recovery keeps exactly
-    /// the whole-record prefix and accepts further group commits.
+    /// Shared body for the torn-tail property: commit `batches`, chop
+    /// `cut` bytes off the tail, and assert recovery keeps exactly the
+    /// whole-record prefix and accepts further commits.
     fn check_torn_tail_mid_group(batches: &[Vec<(u32, f64)>], cut: usize) {
         let dir = scratch_dir("group-torn");
         let (wal, _) = Wal::open(&dir, 16).expect("open");
-        let group =
-            GroupCommitWal::start(wal, 8, Duration::from_micros(100), GroupCommitObs::default());
+        let path = wal.path().to_path_buf();
+        let group = front(wal);
         for (r, ratings) in batches.iter().enumerate() {
             let ratings: Vec<(NodeId, f64)> =
                 ratings.iter().map(|&(t, s)| (NodeId(t), s)).collect();
             group.append_batch(NodeId(r as u32), &ratings).expect("commit");
         }
-        let path = group.path().to_path_buf();
         drop(group);
 
         let bytes = std::fs::read(&path).expect("read");
@@ -799,10 +717,9 @@ mod tests {
         let whole = (bytes.len() - HEADER_LEN as usize - cut) / RECORD_LEN;
         assert_eq!(replay.events.len(), whole, "longest valid prefix");
 
-        // Recovery hands the file back to a fresh group writer and
-        // appends land cleanly after the truncation point.
-        let group =
-            GroupCommitWal::start(wal, 8, Duration::from_micros(100), GroupCommitObs::default());
+        // Recovery hands the file back to a fresh front and appends land
+        // cleanly after the truncation point.
+        let group = front(wal);
         group.append(&ev(3, 4, 5.0)).expect("append after recovery");
         drop(group);
         let (_, replay) = Wal::open(&dir, 16).expect("reopen");
@@ -813,9 +730,8 @@ mod tests {
 
     /// The byte-identity property pinned on fixed scenarios, so the
     /// contract is exercised even when the proptest harness is absent
-    /// (the offline build swallows `proptest!` bodies). Covers: single
-    /// submitter, many submitters with group_max forcing splits, and a
-    /// deadline short enough that most groups are singletons.
+    /// (the offline build swallows `proptest!` bodies): five contending
+    /// submitters, then a lone one.
     #[test]
     fn group_commit_matches_sequential_fixed_scenarios() {
         let heavy: Vec<Vec<(u32, f64)>> = (0..5u32)
@@ -825,13 +741,12 @@ mod tests {
                     .collect()
             })
             .collect();
-        check_group_matches_sequential(&heavy, 4, 200);
-        check_group_matches_sequential(&heavy, 1, 50);
-        check_group_matches_sequential(&[vec![(3, 1.5), (9, -2.25)]], 32, 500);
+        check_group_matches_sequential(&heavy);
+        check_group_matches_sequential(&[vec![(3, 1.5), (9, -2.25)]]);
     }
 
     /// The torn-tail property pinned on fixed cuts: mid-record, exactly
-    /// one record, and deeper than one group.
+    /// one record, and deeper than one batch.
     #[test]
     fn torn_tail_mid_group_fixed_scenarios() {
         let batches: Vec<Vec<(u32, f64)>> = vec![
@@ -844,25 +759,171 @@ mod tests {
         check_torn_tail_mid_group(&batches, 2 * RECORD_LEN + 11);
     }
 
+    /// splitmix64 — the model test's own generator (no ambient entropy).
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Scores the framing must carry bit-for-bit: signed zero, NaNs with
+    /// payload bits, subnormals, and arbitrary bit patterns.
+    fn model_score(rng: &mut u64) -> f64 {
+        match splitmix(rng) % 6 {
+            0 => -0.0,
+            1 => f64::from_bits(0x7FF8_0000_DEAD_BEEF | (splitmix(rng) & 0xFFFF)),
+            2 => f64::from_bits(0xFFF4_0000_0000_0001),
+            3 => f64::from_bits(1 + splitmix(rng) % 0x000F_FFFF_FFFF_FFFF),
+            4 => f64::from_bits(splitmix(rng)),
+            _ => (splitmix(rng) % 2001) as f64 / 1000.0 - 1.0,
+        }
+    }
+
+    /// One submitter of the model below: 500 seeded submissions — 60 %
+    /// single `append`s, 40 % batches of 1–40 ratings — as rater `t`.
+    /// Returns what it saw acked, one run of events per submission.
+    fn model_submitter(group: &GroupCommitWal, t: u32, n: u64) -> Vec<Vec<FeedbackEvent>> {
+        let mut rng = 0xA11C_E5ED_u64 ^ (u64::from(t) << 32);
+        let mut acked = Vec::new();
+        for _ in 0..500 {
+            let batch_len = match splitmix(&mut rng) % 5 {
+                0 | 1 => 1 + splitmix(&mut rng) % 40,
+                _ => 0,
+            };
+            let mut rating = || (NodeId((splitmix(&mut rng) % n) as u32), model_score(&mut rng));
+            if batch_len == 0 {
+                let (target, score) = rating();
+                let event = FeedbackEvent { rater: NodeId(t), target, score };
+                group.append(&event).expect("append");
+                acked.push(vec![event]);
+            } else {
+                let ratings: Vec<(NodeId, f64)> = (0..batch_len).map(|_| rating()).collect();
+                group.append_batch(NodeId(t), &ratings).expect("append_batch");
+                let run = ratings.iter().map(|&(target, score)| FeedbackEvent {
+                    rater: NodeId(t),
+                    target,
+                    score,
+                });
+                acked.push(run.collect());
+            }
+        }
+        acked
+    }
+
+    /// Seeded concurrent-submitter model: 4 threads × 500 mixed single
+    /// appends and 1–40-rating batches, each thread keeping what it saw
+    /// acked. The replayed file holds exactly the acked records, each
+    /// thread's in its own submission order, every batch contiguous, and
+    /// is byte-identical to sequential appends in replay order.
+    #[test]
+    fn concurrent_submitters_model_acked_equals_replayed() {
+        const THREADS: u32 = 4;
+        const N: usize = 64;
+        let dir = scratch_dir("model");
+        let (wal, _) = Wal::open(&dir, N).expect("open");
+        let path = wal.path().to_path_buf();
+        let group = front(wal);
+        // All submitters leave the gate together, so the lock is contended.
+        let gate = std::sync::Barrier::new(THREADS as usize);
+        // acked[t] = thread t's submissions.
+        let acked: Vec<Vec<Vec<FeedbackEvent>>> = std::thread::scope(|scope| {
+            let submit = |t| {
+                let (group, gate) = (&group, &gate);
+                scope.spawn(move || {
+                    gate.wait();
+                    model_submitter(group, t, N as u64)
+                })
+            };
+            let handles: Vec<_> = (0..THREADS).map(submit).collect();
+            handles.into_iter().map(|h| h.join().expect("submitter")).collect()
+        });
+        drop(group);
+
+        let file_bytes = std::fs::read(&path).expect("read");
+        let (_, replay) = Wal::open(&dir, N).expect("replay");
+        assert_eq!(replay.truncated_bytes, 0);
+        let total: usize = acked.iter().flatten().map(Vec::len).sum();
+        assert_eq!(replay.events.len(), total, "replay is exactly the acked records");
+
+        // Walk the replay with one cursor per thread: (submission, offset).
+        let mut cursor = vec![(0usize, 0usize); THREADS as usize];
+        let mut open_run: Option<usize> = None;
+        for got in &replay.events {
+            let t = got.rater.index();
+            if let Some(owner) = open_run {
+                assert_eq!(t, owner, "a batch must not be interleaved");
+            }
+            let (sub, off) = &mut cursor[t];
+            let run = &acked[t][*sub];
+            let want = &run[*off];
+            assert_eq!(got.target, want.target, "thread {t} out of submission order");
+            assert_eq!(got.score.to_bits(), want.score.to_bits(), "score bits must survive");
+            *off += 1;
+            open_run = (*off < run.len()).then_some(t);
+            if open_run.is_none() {
+                (*sub, *off) = (*sub + 1, 0);
+            }
+        }
+        for (t, &(sub, _)) in cursor.iter().enumerate() {
+            assert_eq!(sub, acked[t].len(), "every submission of thread {t} replayed");
+        }
+        assert_eq!(file_bytes, sequential_bytes(&replay.events, N), "byte-identical layout");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Rollback by construction: a commit that writes `k` bytes and then
+    /// fails is heard as `Err`, leaves the file at the last committed
+    /// boundary, and the log carries on — replay is exactly the acked list.
+    #[test]
+    fn partial_write_rolls_back_and_the_log_continues() {
+        let batch = [(NodeId(1), 1.0), (NodeId(2), 2.0)];
+        for k in [0usize, 7, 24, 31] {
+            let dir = scratch_dir("rollback");
+            let (wal, _) = Wal::open(&dir, 8).expect("open");
+            let path = wal.path().to_path_buf();
+            let group = front(wal);
+            group.append(&ev(0, 1, 0.5)).expect("acked before the fault");
+            let committed = HEADER_LEN + RECORD_LEN as u64;
+
+            group.wal.lock().expect("lock").fail_after = Some(k);
+            group
+                .append_batch(NodeId(3), &batch)
+                .expect_err("torn batch must not ack");
+            assert_eq!(std::fs::metadata(&path).expect("stat").len(), committed, "k = {k}");
+            // k = 31 on a lone 24-byte record: written whole, then the
+            // failure — it still must not survive (it was never acked).
+            group.wal.lock().expect("lock").fail_after = Some(k);
+            group.append(&ev(4, 5, 4.0)).expect_err("failed append must not ack");
+            assert_eq!(std::fs::metadata(&path).expect("stat").len(), committed, "k = {k}");
+
+            group
+                .append(&ev(6, 7, 6.0))
+                .expect("the hook is one-shot; the log continues");
+            drop(group);
+            let (_, replay) = Wal::open(&dir, 8).expect("reopen");
+            assert_eq!(replay.events, vec![ev(0, 1, 0.5), ev(6, 7, 6.0)], "k = {k}");
+            assert_eq!(replay.truncated_bytes, 0, "rollback left no torn tail");
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
+    }
+
     #[test]
     fn group_commit_failure_acks_error_to_every_submitter() {
-        // A writer over a read-only fd: every group commit fails. Each
-        // submitter must hear the error (no silent ack, no success).
+        // A front over a read-only fd: every commit fails, and so does the
+        // rollback's `set_len` — the first failure poisons the log. Each
+        // submitter must hear an error (no silent ack, no success).
         let dir = scratch_dir("group-fail");
         let (wal, _) = Wal::open(&dir, 8).expect("open");
         let path = wal.path().to_path_buf();
         drop(wal);
         let file = OpenOptions::new().read(true).open(&path).expect("reopen read-only");
-        let group = std::sync::Arc::new(GroupCommitWal::start(
-            Wal::from_file_for_tests(file, path.clone()),
-            8,
-            Duration::from_micros(100),
-            GroupCommitObs::default(),
-        ));
+        let group = front(Wal::at(file, path, HEADER_LEN));
         let errors: Vec<String> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|r| {
-                    let group = std::sync::Arc::clone(&group);
+                    let group = &group;
                     scope.spawn(move || {
                         group
                             .append_batch(NodeId(r), &[(NodeId(0), 1.0)])
@@ -880,16 +941,71 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
+    /// A holder that panics mid-commit leaves the mutex poisoned: later
+    /// appends are refused, never acknowledged.
     #[test]
-    fn group_commit_shutdown_flushes_pending_submissions() {
-        let dir = scratch_dir("group-drain");
+    fn lock_poisoned_by_a_panicking_holder_refuses_later_appends() {
+        let dir = scratch_dir("lock-poison");
         let (wal, _) = Wal::open(&dir, 8).expect("open");
-        let group =
-            GroupCommitWal::start(wal, 64, Duration::from_micros(500), GroupCommitObs::default());
+        let group = front(wal);
+        group.append(&ev(0, 1, 1.0)).expect("acked before the panic");
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = group.wal.lock().expect("lock");
+                panic!("holder dies with the WAL lock held");
+            });
+            assert!(holder.join().is_err());
+        });
+        let err = group.append(&ev(2, 3, 2.0)).expect_err("must refuse");
+        assert!(err.contains("panicked"), "{err}");
+        group
+            .append_batch(NodeId(4), &[(NodeId(5), 1.0)])
+            .expect_err("must refuse");
+        drop(group);
+        let (_, replay) = Wal::open(&dir, 8).expect("reopen");
+        assert_eq!(replay.events, vec![ev(0, 1, 1.0)]);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// One commit per submission, recorded as what it is; an empty batch
+    /// is no commit at all.
+    #[test]
+    fn empty_batch_is_ok_and_records_no_commit() {
+        let dir = scratch_dir("empty-batch");
+        let (wal, _) = Wal::open(&dir, 8).expect("open");
+        let path = wal.path().to_path_buf();
+        let obs = GroupCommitObs {
+            group_records: Some(Arc::new(Histogram::new())),
+            commit_ns: Some(Arc::new(Histogram::new())),
+        };
+        let group = GroupCommitWal::new(wal, obs.clone());
+        group.append_batch(NodeId(0), &[]).expect("empty batch is Ok");
+        assert_eq!(obs.group_records.as_ref().expect("set").snapshot().count, 0);
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), HEADER_LEN);
+        group.append(&ev(0, 1, 1.0)).expect("append");
+        group
+            .append_batch(NodeId(2), &[(NodeId(3), 1.0), (NodeId(4), 2.0), (NodeId(5), 3.0)])
+            .expect("batch");
+        let groups = obs.group_records.as_ref().expect("set").snapshot();
+        assert_eq!((groups.count, groups.sum), (2, 4), "one submission per commit");
+        assert_eq!(obs.commit_ns.as_ref().expect("set").snapshot().count, 2);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// There is no thread to join and no queue to drain: once `append`
+    /// returned, the record is in the file, whatever happens to the front.
+    #[test]
+    fn drop_with_no_thread_to_join_everything_acked_replays() {
+        let dir = scratch_dir("group-drop");
+        let (wal, _) = Wal::open(&dir, 8).expect("open");
+        let group = front(wal);
         for i in 0..20u32 {
             group.append(&ev(i % 8, (i + 1) % 8, i as f64)).expect("commit");
+            // Visible to a fresh reader before the front is dropped.
+            let len = std::fs::metadata(dir.join(FILE_NAME)).expect("stat").len();
+            assert_eq!(len, HEADER_LEN + u64::from(i + 1) * RECORD_LEN as u64);
         }
-        drop(group); // joins the writer; everything acked is on disk
+        drop(group);
         let (_, replay) = Wal::open(&dir, 8).expect("reopen");
         assert_eq!(replay.events.len(), 20);
         assert_eq!(replay.truncated_bytes, 0);

@@ -54,11 +54,12 @@ step cargo test -q -p gossiptrust-core --features invariants
 step cargo test -q -p gossiptrust-gossip --features invariants
 step cargo test -q -p gossiptrust-serve --features invariants
 
-# WAL shard: the group-commit pipeline's own tests — byte-identity vs
-# sequential appends under concurrent submitters, torn-tail-mid-group
-# recovery, failed-commit error fan-out, shutdown drain — run as a named
-# shard so a WAL regression is visible at a glance, not buried in the
-# per-crate loop above.
+# WAL shard: the commit path's own tests — the seeded concurrent-submitter
+# model (acked = replayed, per-thread order, contiguous batches,
+# byte-identity vs sequential appends), partial-write rollback through the
+# one-shot fault hook, torn header / torn tail recovery, failed-commit and
+# poisoned-lock refusal — run as a named shard so a WAL regression is
+# visible at a glance, not buried in the per-crate loop above.
 step cargo test -q -p gossiptrust-serve --lib wal::
 
 # Observability shard: the mid-epoch scrape integration test (metrics
@@ -74,6 +75,20 @@ step env GT_QUICK=1 cargo run --release -p gossiptrust-experiments --bin all
 # WAL recovery, and the TCP drill (frame faults, slow-loris reaping, the
 # connection-limit gate). One fixed seed; a red run replays identically.
 step env GT_QUICK=1 cargo run --release -p gossiptrust-experiments --bin chaos_soak
+
+# Knob census: the set of GT_* names the code reads (string literals
+# handed to the core::params strict readers or env::var under
+# crates/*/src, GT_TEST_* excluded) must equal the set of GT_* rows in
+# README's table — a knob without a row, or a row without a knob, fails.
+knob_census() {
+  local read_names documented
+  read_names=$(grep -rhoE '(strict_[a-z0-9_]+_env|env::var)\("GT_[A-Z0-9_]+"' crates/*/src |
+    grep -oE 'GT_[A-Z0-9_]+' | grep -v '^GT_TEST_' | sort -u)
+  documented=$(grep -oE '^\| `GT_[A-Z0-9_]+' README.md | grep -oE 'GT_[A-Z0-9_]+' | sort -u)
+  echo "knob census: $(wc -l <<<"$read_names") GT_* knobs read, $(wc -l <<<"$documented") rows in README's table"
+  diff <(echo "$read_names") <(echo "$documented")
+}
+step knob_census
 
 # Census, next to the verdict: these run only where the real tokio and
 # proptest resolve. Their offline stand-ins type-check `#[tokio::test]`

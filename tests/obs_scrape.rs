@@ -26,7 +26,7 @@ const REQUIRED: &[&str] = &[
     "gt_epoch_aggregate_ns",
     "gt_epoch_publish_ns",
     "gt_epoch_total_ns",
-    "gt_wal_fsync_ns",
+    "gt_wal_append_ns",
     "gt_gossip_step_ns",
     "gt_gossip_bytes_streamed_total",
     "gt_epochs_attempted_total",
