@@ -26,11 +26,13 @@
 //!
 //! The per-row kernel ([`step_slab`]) is one sweep: write the retained
 //! half, fold the row's senders' contributions (plus any forged
-//! disturbance mass), then one pass of convergence/β bookkeeping over the
-//! row. Uniform gossip gives a row Poisson(1) senders, so the 0- and
-//! 1-sender cases are fused into a single pass over the row. The inner
-//! loops are fixed-stride `f64` walks over whole rows, shaped for
-//! auto-vectorization.
+//! disturbance mass), then the ε test of the merged row against the row it
+//! was merged from (see *Convergence detection*). Uniform gossip gives a
+//! row Poisson(1) senders, so the 0- and 1-sender cases are fused into a
+//! single pass over the row. The inner loops are fixed-stride `f64` walks
+//! over whole rows, shaped for auto-vectorization. The state is four n×n
+//! arenas — `x` and `w`, each double-buffered — and nothing else scales
+//! with n².
 //!
 //! ## Determinism contract
 //!
@@ -56,7 +58,7 @@
 //!
 //! Under uniform targets a contiguous share of the rows carries a
 //! near-equal share of the senders, so the split is static. The workers
-//! are a persistent pool (an epoch at n = 256 is ≈ 460 steps of ≈ 270 µs;
+//! are a persistent pool (an epoch at n = 256 is ≈ 460 steps of ≈ 150 µs;
 //! spawning threads per step would show there). The shared read state is
 //! passed as persistent `Arc` arenas (cheap per-step `Arc` clones — the
 //! slab payloads are never moved or copied), and the freshly written
@@ -77,6 +79,22 @@
 //! The relative (rather than absolute) change matches §3's accuracy goal —
 //! "the estimated score `v` within `[(1−ε)v, (1+ε)v]`" — and keeps the
 //! detector scale-free as `n` grows (global scores shrink like `1/n`).
+//!
+//! Condition 2 compares two consecutive triplets the node already holds,
+//! so the kernel keeps no memory of the previous ratios: it derives
+//! `x_j/w_j` of the step before from the read row it has just merged from
+//! (`row_passes`). A ratio with no previous weight (`w_j = 0` one step
+//! earlier — every `j ≠ i` right after [`VectorGossipEngine::seed`]) has
+//! no previous value and fails, whatever the division yields. The test
+//! walks the row in blocks of `EPS_BLOCK` elements, branch-free inside a
+//! block, and returns at the first block holding a failure: far from
+//! convergence that is the row's first block, and only a cycle's last few
+//! steps walk whole rows. A row nobody pushed to was only halved; where
+//! halving is exact (no operand within a factor 2 of the subnormals)
+//! every ratio is unchanged bit for bit and the row passes without a
+//! division (`halving_keeps_ratios`). A dead node's detector is cleared
+//! by [`VectorGossipEngine::kill`]; its frozen state is its previous row
+//! when it returns.
 
 use crate::chooser::TargetChooser;
 use crate::stats::GossipStats;
@@ -107,7 +125,8 @@ const NO_SEND: u32 = u32::MAX;
 pub struct EngineObs {
     /// Wall time of one full step (draw + kernel + publish), nanoseconds.
     pub step_ns: Arc<Histogram>,
-    /// Estimated memory traffic per step, mirroring
+    /// Estimated memory traffic per step (own rows read, next rows
+    /// written, one sender row per delivery), mirroring
     /// [`GossipStats::bytes_streamed`].
     pub bytes_streamed: Arc<Counter>,
 }
@@ -174,9 +193,6 @@ pub struct StepOutcome {
     /// True when every alive node's detector has fired (and `min_steps`
     /// elapsed).
     pub all_converged: bool,
-    /// Maximum relative estimate change observed across alive nodes in this
-    /// step (`f64::INFINITY` while any estimate is still undefined).
-    pub max_change: f64,
 }
 
 /// One contiguous block of consecutive node rows, stored row-major in two
@@ -210,19 +226,18 @@ impl Slab {
     }
 }
 
-/// The write-side of one slab during a step: the double-buffered next
-/// state, the slab's rows of the `prev_beta` convergence memory (`NaN` =
-/// undefined), and the per-row `(defined, max relative change)` results.
-/// Owned by exactly one worker while a step is in flight.
-/// Per-node gossip disturbance: the sorted component ids whose pushed x
-/// the node inflates, and the inflation factor (`None` = honest node).
+/// Per-node gossip disturbance: the component ids whose pushed x the
+/// node inflates, and the inflation factor (`None` = honest node).
 type CorruptionTable = Vec<Option<(Vec<u32>, f64)>>;
 
+/// The write-side of one slab during a step: the double-buffered next
+/// state and the per-row result of the ε test (`true` = every ratio of
+/// the row is defined and moved by ≤ ε this step). Owned by exactly one
+/// worker while a step is in flight.
 #[derive(Clone, Debug)]
 struct SlabTask {
     slab: Slab,
-    beta: Vec<f64>,
-    out: Vec<(bool, f64)>,
+    out: Vec<bool>,
 }
 
 /// Everything a step reads but never writes: the pre-step state (`Arc`
@@ -232,6 +247,7 @@ struct SlabTask {
 /// flat[offsets[i]..offsets[i+1]]`, ascending). Shared immutably by all
 /// workers via `Arc`.
 struct StepRead {
+    epsilon: f64,
     rows_per: usize,
     slabs: Vec<Arc<Slab>>,
     alive: Arc<Vec<bool>>,
@@ -269,11 +285,65 @@ fn forge(read: &StepRead, s: usize, px: &[f64], nx: &mut [f64]) {
     }
 }
 
+/// Elements per block of the ε test: the unit the test is vectorised over
+/// and the granularity at which a row's test stops at its first failure.
+const EPS_BLOCK: usize = 32;
+
+/// Whether any element of one block fails the ε test. `(nx, nw)` is the
+/// merged row, `(sx, sw)` the same node's row one step earlier; element
+/// `j` fails when either ratio is undefined (`w` not positive — the
+/// paper's `∞` case — or the previous ratio `NaN`) or the ratio moved by
+/// more than ε relative to its new value. A `NaN` relative change (an
+/// infinite or `NaN` new ratio) does not fail. Branch-free, so the block
+/// compiles to packed divides and compares.
+#[inline]
+fn block_fails(nx: &[f64], nw: &[f64], sx: &[f64], sw: &[f64], epsilon: f64) -> bool {
+    let mut fails = false;
+    for (((&nx, &nw), &sx), &sw) in nx.iter().zip(nw).zip(sx).zip(sw) {
+        let b = nx / nw;
+        let prev = sx / sw;
+        let rel = (b - prev).abs() / b.abs().max(f64::MIN_POSITIVE);
+        let defined = (nw > 0.0) & (sw > 0.0) & !prev.is_nan();
+        fails |= !defined | (rel > epsilon);
+    }
+    fails
+}
+
+/// The ε test of one row: no element fails. The previous ratios are
+/// derived from the read row the merge streamed anyway, and the walk
+/// returns at the first block that holds a failure — far from
+/// convergence that is the first block of the row.
+fn row_passes(nx: &[f64], nw: &[f64], sx: &[f64], sw: &[f64], epsilon: f64) -> bool {
+    nx.chunks(EPS_BLOCK)
+        .zip(nw.chunks(EPS_BLOCK))
+        .zip(sx.chunks(EPS_BLOCK).zip(sw.chunks(EPS_BLOCK)))
+        .all(|((nx, nw), (sx, sw))| !block_fails(nx, nw, sx, sw, epsilon))
+}
+
+/// Whether halving the row `(sx, sw)` is exact and leaves every ratio
+/// defined: each `w` is finite and ≥ 2·`MIN_POSITIVE`, each `x` is zero or
+/// has magnitude ≥ 2·`MIN_POSITIVE`. Then `(0.5·x)/(0.5·w)` and `x/w`
+/// round the same real quotient from exact operands, so a row that only
+/// halved this step (no sender) keeps every ratio bit for bit and passes
+/// the ε test without a division. Rows holding subnormal-adjacent, `NaN`
+/// or infinite-`w` values decline and take [`row_passes`].
+fn halving_keeps_ratios(sx: &[f64], sw: &[f64]) -> bool {
+    const EXACT: f64 = 2.0 * f64::MIN_POSITIVE;
+    sx.chunks(EPS_BLOCK).zip(sw.chunks(EPS_BLOCK)).all(|(sx, sw)| {
+        let mut keeps = true;
+        for (&x, &w) in sx.iter().zip(sw) {
+            let a = x.abs();
+            keeps &= (EXACT..=f64::MAX).contains(&w) & ((a >= EXACT) | (a <= 0.0));
+        }
+        keeps
+    })
+}
+
 /// The step kernel: for every row the worker owns, (a) write the retained
 /// half (or the frozen copy for a dead node), (b) fold the deliveries of
 /// this row's senders in ascending order — each sender's forged
-/// disturbance mass immediately after its honest add — and (c) run the
-/// convergence/β bookkeeping over the merged row. Used verbatim by both
+/// disturbance mass immediately after its honest add — and (c) run the ε
+/// test of the merged row against the read row. Used verbatim by both
 /// the sequential and the parallel step, which is what makes those
 /// bit-identical.
 fn step_slab(read: &StepRead, task: &mut SlabTask) {
@@ -289,7 +359,7 @@ fn step_slab(read: &StepRead, task: &mut SlabTask) {
             // receives nothing: its senders were filtered at draw time).
             nx.copy_from_slice(sx);
             nw.copy_from_slice(sw);
-            task.out[r] = (true, 0.0);
+            task.out[r] = true;
             continue;
         }
         // Uniform gossip gives a row Poisson(1) senders, so 0 and 1
@@ -338,28 +408,8 @@ fn step_slab(read: &StepRead, task: &mut SlabTask) {
                 }
             }
         }
-        // Convergence bookkeeping over the merged row.
-        let beta = &mut task.beta[r * n..(r + 1) * n];
-        let mut change: f64 = 0.0;
-        let mut defined = true;
-        for j in 0..n {
-            let w = nw[j];
-            if w > 0.0 {
-                let b = nx[j] / w;
-                let prev = beta[j];
-                if prev.is_nan() {
-                    change = f64::INFINITY;
-                } else {
-                    let denom = b.abs().max(f64::MIN_POSITIVE);
-                    change = change.max((b - prev).abs() / denom);
-                }
-                beta[j] = b;
-            } else {
-                defined = false;
-                beta[j] = f64::NAN;
-            }
-        }
-        task.out[r] = (defined, change);
+        task.out[r] = (senders.is_empty() && halving_keeps_ratios(sx, sw))
+            || row_passes(nx, nw, sx, sw, read.epsilon);
     }
 }
 
@@ -487,6 +537,7 @@ impl VectorGossipEngine {
     pub fn new(n: usize, config: EngineConfig) -> Self {
         assert!(n >= 2, "gossip needs at least two nodes");
         assert!(config.patience >= 1, "patience must be >= 1");
+        assert!(config.epsilon >= 0.0, "epsilon must be non-negative");
         // One slab per step-executing thread. Rounding `rows_per` up can
         // leave fewer slabs than configured threads (n = 9, threads = 4 →
         // 3 slabs of 3 rows); everything downstream counts the slabs
@@ -498,11 +549,7 @@ impl VectorGossipEngine {
         while lo < n {
             let rows = rows_per.min(n - lo);
             cur.push(Arc::new(Slab::zeroed(lo, rows, n)));
-            tasks.push(Some(SlabTask {
-                slab: Slab::zeroed(lo, rows, n),
-                beta: vec![f64::NAN; rows * n],
-                out: vec![(true, 0.0); rows],
-            }));
+            tasks.push(Some(SlabTask { slab: Slab::zeroed(lo, rows, n), out: vec![true; rows] }));
             lo += rows;
         }
         VectorGossipEngine {
@@ -601,10 +648,6 @@ impl VectorGossipEngine {
                 wi[i] = 1.0;
             }
         }
-        for task in &mut self.tasks {
-            let task = task.as_mut().expect("no step in flight");
-            task.beta.fill(f64::NAN);
-        }
         self.streaks.fill(0);
         self.step_idx = 0;
     }
@@ -626,9 +669,11 @@ impl VectorGossipEngine {
 
     /// Mark a node dead: it stops sending and receiving; pushes addressed to
     /// it are lost. Its state is frozen (the mass it holds leaves the
-    /// computation — exactly what a crash does to push-sum).
+    /// computation — exactly what a crash does to push-sum), and so is its
+    /// detector: a revived node starts its `patience` count over.
     pub fn kill(&mut self, node: NodeId) {
         Arc::make_mut(&mut self.alive)[node.index()] = false;
+        self.streaks[node.index()] = 0;
     }
 
     /// Revive a node (it re-enters gossip with its frozen state).
@@ -775,6 +820,7 @@ impl VectorGossipEngine {
     /// [`Self::restore_read`].
     fn make_read(&mut self, corrupt_active: bool) -> StepRead {
         StepRead {
+            epsilon: self.config.epsilon,
             rows_per: self.rows_per,
             slabs: self.cur.clone(),
             alive: self.alive.clone(),
@@ -809,30 +855,20 @@ impl VectorGossipEngine {
         self.stats.steps += 1;
         self.stats.bytes_streamed += crate::stats::step_bytes_estimate(self.n, self.csr_flat.len());
 
-        let mut max_change: f64 = 0.0;
         let mut all = true;
         for task in &self.tasks {
             let task = task.as_ref().expect("all tasks returned");
             let lo = task.slab.lo;
-            for (r, &(defined, change)) in task.out.iter().enumerate() {
+            for (r, &passed) in task.out.iter().enumerate() {
                 let i = lo + r;
                 if !self.alive[i] {
                     continue;
                 }
-                if defined && change <= self.config.epsilon {
-                    self.streaks[i] += 1;
-                } else {
-                    self.streaks[i] = 0;
-                }
-                max_change = max_change.max(change);
-                if !defined {
-                    max_change = f64::INFINITY;
-                }
+                self.streaks[i] = if passed { self.streaks[i] + 1 } else { 0 };
                 all &= self.streaks[i] >= self.config.patience;
             }
         }
-        let all_converged = all && self.step_idx >= self.config.min_steps;
-        StepOutcome { all_converged, max_change }
+        StepOutcome { all_converged: all && self.step_idx >= self.config.min_steps }
     }
 
     /// Execute one synchronous gossip step, sequentially.
@@ -994,9 +1030,8 @@ impl VectorGossipEngine {
     }
 
     /// Compare the pool-computed tasks against the sequential shadow run
-    /// **bit for bit** (`to_bits`, so NaN convergence memory compares
-    /// exactly too) — the determinism contract, enforced every parallel
-    /// step while the feature is on.
+    /// **bit for bit** (`to_bits`) — the determinism contract, enforced
+    /// every parallel step while the feature is on.
     #[cfg(feature = "invariants")]
     fn assert_par_matches_shadow(&self, shadow: &[SlabTask]) {
         for (k, (task, shadow)) in self.tasks.iter().zip(shadow).enumerate() {
@@ -1006,8 +1041,7 @@ impl VectorGossipEngine {
             };
             assert!(
                 same_bits(&task.slab.xs, &shadow.slab.xs)
-                    && same_bits(&task.slab.ws, &shadow.slab.ws)
-                    && same_bits(&task.beta, &shadow.beta),
+                    && same_bits(&task.slab.ws, &shadow.slab.ws),
                 "invariant violated [VectorGossipEngine::par_step]: slab {k} diverged \
                  from the sequential kernel (bit-identity contract)"
             );
@@ -1249,8 +1283,8 @@ mod tests {
         // Oracle mean over alive nodes' extract values.
         let mut mean = vec![0.0; n];
         for &i in &alive {
-            for j in 0..n {
-                mean[j] += per_node[i][j];
+            for (m, &v) in mean.iter_mut().zip(&per_node[i]) {
+                *m += v;
             }
         }
         for v in mean.iter_mut() {
@@ -1262,15 +1296,14 @@ mod tests {
         }
         // Oracle spread over alive nodes' extract values (all w > 0, so
         // this matches consensus_spread's definition).
-        let mut worst: f64 = 0.0;
-        for j in 0..n {
-            let lo = alive.iter().map(|&i| per_node[i][j]).fold(f64::INFINITY, f64::min);
-            let hi = alive
-                .iter()
-                .map(|&i| per_node[i][j])
-                .fold(f64::NEG_INFINITY, f64::max);
-            worst = worst.max(hi - lo);
-        }
+        let worst = (0..n)
+            .map(|j| {
+                let column = || alive.iter().map(|&i| per_node[i][j]);
+                let lo = column().fold(f64::INFINITY, f64::min);
+                let hi = column().fold(f64::NEG_INFINITY, f64::max);
+                hi - lo
+            })
+            .fold(0.0, f64::max);
         let got = engine.consensus_spread();
         assert!((got - worst).abs() < 1e-15, "spread {got} vs oracle {worst}");
     }
@@ -1540,6 +1573,336 @@ mod tests {
             let rel = (est[j] - exact[j]).abs() / exact[j];
             assert!(rel < 1e-3, "comp {j}: {rel}");
         }
+    }
+
+    /// A node's detector dies with it: two passes before the crash must
+    /// not count toward `patience` after revival.
+    #[test]
+    fn revived_node_starts_its_patience_over() {
+        let n = 8;
+        let mut engine = VectorGossipEngine::new(n, config(n));
+        assert_eq!(engine.config().patience, 2, "the test is about patience = 2");
+        engine.seed(&star(n), &ReputationVector::uniform(n), &Prior::uniform(n), 0.15);
+        let mut rng = StdRng::seed_from_u64(43);
+        let (_, converged) = engine.run(&UniformChooser, &mut rng);
+        assert!(converged);
+        // Tighten far below ε so every later step is a pass for every row.
+        for _ in 0..60 {
+            engine.step(&UniformChooser, &mut rng);
+        }
+        assert!(engine.streaks[3] >= 2);
+        engine.kill(NodeId(3));
+        assert!(engine.step(&UniformChooser, &mut rng).all_converged, "the rest stays converged");
+        engine.revive(NodeId(3));
+        let first = engine.step(&UniformChooser, &mut rng);
+        assert_eq!(engine.streaks[3], 1, "the revived row passes, once");
+        assert!(!first.all_converged, "one fresh pass is not patience = 2");
+        assert!(engine.step(&UniformChooser, &mut rng).all_converged);
+    }
+
+    /// The detector this engine used to run, kept as the test oracle: an
+    /// explicit per-node memory of the previous ratios (`NaN` = undefined)
+    /// compared against the merged row in a second pass, with the
+    /// `f64::max` fold and the `defined && change ≤ ε` verdict, plus its
+    /// own streak bookkeeping.
+    struct MemoryOracle {
+        n: usize,
+        epsilon: f64,
+        beta: Vec<f64>,
+        streaks: Vec<usize>,
+        steps: usize,
+    }
+
+    impl MemoryOracle {
+        fn new(n: usize, epsilon: f64) -> Self {
+            MemoryOracle { n, epsilon, beta: vec![f64::NAN; n * n], streaks: vec![0; n], steps: 0 }
+        }
+
+        /// What `seed` does to the detector state.
+        fn reset(&mut self) {
+            self.beta.fill(f64::NAN);
+            self.streaks.fill(0);
+            self.steps = 0;
+        }
+
+        /// Node `i` merged to `(x, w)`: compare against, then overwrite,
+        /// its memory.
+        fn observe(&mut self, i: usize, x: &[f64], w: &[f64]) -> bool {
+            let beta = &mut self.beta[i * self.n..(i + 1) * self.n];
+            let mut change: f64 = 0.0;
+            let mut defined = true;
+            for j in 0..self.n {
+                if w[j] > 0.0 {
+                    let b = x[j] / w[j];
+                    let prev = beta[j];
+                    if prev.is_nan() {
+                        change = f64::INFINITY;
+                    } else {
+                        let denom = b.abs().max(f64::MIN_POSITIVE);
+                        change = change.max((b - prev).abs() / denom);
+                    }
+                    beta[j] = b;
+                } else {
+                    defined = false;
+                    beta[j] = f64::NAN;
+                }
+            }
+            defined && change <= self.epsilon
+        }
+
+        /// Observe every alive row of the engine's post-step state and
+        /// return the per-row verdicts (`None` = dead) and `all_converged`.
+        fn step(&mut self, engine: &VectorGossipEngine) -> (Vec<Option<bool>>, bool) {
+            self.steps += 1;
+            let mut all = true;
+            let mut rows = vec![None; self.n];
+            for (i, slot) in rows.iter_mut().enumerate() {
+                if !engine.alive[i] {
+                    continue;
+                }
+                let (x, w) = engine.row(i);
+                let passed = self.observe(i, x, w);
+                self.streaks[i] = if passed { self.streaks[i] + 1 } else { 0 };
+                all &= self.streaks[i] >= engine.config.patience;
+                *slot = Some(passed);
+            }
+            (rows, all && self.steps >= engine.config.min_steps)
+        }
+    }
+
+    /// The oracle's verdict on one transition `(sx, sw) → (nx, nw)` of a
+    /// single node: remember the first row, judge the second.
+    fn oracle_row(nx: &[f64], nw: &[f64], sx: &[f64], sw: &[f64], epsilon: f64) -> bool {
+        let mut oracle = MemoryOracle::new(nx.len(), epsilon);
+        oracle.observe(0, sx, sw);
+        oracle.observe(0, nx, nw)
+    }
+
+    fn row_results(engine: &VectorGossipEngine) -> Vec<bool> {
+        engine
+            .tasks
+            .iter()
+            .flat_map(|t| t.as_ref().expect("no step in flight").out.iter().copied())
+            .collect()
+    }
+
+    fn state_bits(engine: &VectorGossipEngine) -> Vec<u64> {
+        (0..engine.n)
+            .flat_map(|i| {
+                let (x, w) = engine.row(i);
+                x.iter().chain(w)
+            })
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// Engine and oracle in lockstep, all the way to convergence, through
+    /// a node that dies at step 3 and returns at step 9 and a re-`seed` at
+    /// step 14: the same verdict for every alive row on every step, the
+    /// same `all_converged`, and — across thread counts — the same step
+    /// count and the same state bits. Sizes sit below, at and across the
+    /// block size, with a ragged last block.
+    #[test]
+    fn row_test_agrees_with_the_memory_oracle_to_convergence() {
+        for n in [5usize, 31, 32, 33, 70] {
+            let m = star(n);
+            let v0 = ReputationVector::uniform(n);
+            for loss in [0.0, 0.15] {
+                for corrupt in [false, true] {
+                    let mut reference: Option<(usize, Vec<u64>)> = None;
+                    for threads in [1usize, 2, 3] {
+                        let label =
+                            format!("n={n} loss={loss} corrupt={corrupt} threads={threads}");
+                        let cfg = config(n).with_loss_rate(loss).with_threads(threads);
+                        let mut engine = VectorGossipEngine::new(n, cfg);
+                        if corrupt {
+                            engine.set_corruption(NodeId(1), vec![1, 3], 4.0);
+                            engine.set_corruption(NodeId(4), vec![4], 2.5);
+                        }
+                        let mut oracle = MemoryOracle::new(n, engine.config.epsilon);
+                        let mut rng = StdRng::seed_from_u64(61);
+                        engine.seed(&m, &v0, &Prior::uniform(n), 0.15);
+                        let mut total = 0;
+                        let mut passes_seen = 0;
+                        let mut lockstep =
+                            |engine: &mut VectorGossipEngine,
+                             oracle: &mut MemoryOracle,
+                             total: &mut usize| {
+                                let out = engine.par_step(&UniformChooser, &mut rng);
+                                let (rows, all) = oracle.step(engine);
+                                for (i, (&got, want)) in
+                                    row_results(engine).iter().zip(rows).enumerate()
+                                {
+                                    if let Some(want) = want {
+                                        assert_eq!(got, want, "row {i}, step {total} ({label})");
+                                        passes_seen += usize::from(got);
+                                    }
+                                }
+                                assert_eq!(out.all_converged, all, "step {total} ({label})");
+                                *total += 1;
+                                all
+                            };
+                        for step in 0..14 {
+                            if step == 3 {
+                                engine.kill(NodeId(2));
+                                oracle.streaks[2] = 0;
+                            }
+                            if step == 9 {
+                                engine.revive(NodeId(2));
+                            }
+                            lockstep(&mut engine, &mut oracle, &mut total);
+                        }
+                        engine.seed(&m, &v0, &Prior::uniform(n), 0.15);
+                        oracle.reset();
+                        let budget = engine.config.max_steps;
+                        while !lockstep(&mut engine, &mut oracle, &mut total) {
+                            assert!(total < budget, "no convergence ({label})");
+                        }
+                        assert!(passes_seen >= n, "passing rows were compared ({label})");
+                        let end = (total, state_bits(&engine));
+                        match &reference {
+                            None => reference = Some(end),
+                            Some(reference) => assert!(*reference == end, "{label}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A 70-element transition (two full blocks and a ragged one of 6)
+    /// whose every ratio stays at 0.25, with element `j` overwritten.
+    fn crafted(j: usize, nx: f64, nw: f64, sx: f64, sw: f64) -> [Vec<f64>; 4] {
+        let mut rows = [
+            vec![0.1875; 70],
+            vec![0.75; 70],
+            vec![0.25; 70],
+            vec![1.0; 70],
+        ];
+        for (row, v) in rows.iter_mut().zip([nx, nw, sx, sw]) {
+            row[j] = v;
+        }
+        rows
+    }
+
+    /// The row test on crafted rows, each case at the block edges (first
+    /// element, both sides of each block boundary, last element of the
+    /// ragged block) and checked against the oracle as well as against
+    /// the stated verdict.
+    #[test]
+    fn row_test_on_crafted_rows() {
+        let eps = 1e-4;
+        let inf = f64::INFINITY;
+        let nan = f64::NAN;
+        #[rustfmt::skip]
+        let cases: &[(&str, [f64; 4], bool)] = &[
+            // (what, [nx, nw, sx, sw] of the crafted element, passes)
+            ("unchanged ratio",            [0.1875, 0.75, 0.25, 1.0],   true),
+            ("ratio moved by 1 %",         [0.1875 * 1.01, 0.75, 0.25, 1.0], false),
+            ("no previous weight: undefined, though prev = +inf", [0.1875, 0.75, 0.25, 0.0], false),
+            ("…even when the new ratio is +inf too", [inf, 0.75, 0.25, 0.0], false),
+            ("no previous mass at all",    [0.1875, 0.75, 0.0, 0.0],   false),
+            ("no new weight",              [0.1875, 0.0, 0.25, 1.0],    false),
+            ("negative-zero new weight",   [0.1875, -0.0, 0.25, 1.0],   false),
+            ("negative-zero old weight",   [0.1875, 0.75, 0.25, -0.0],  false),
+            ("negative-zero masses",       [-0.0, 0.75, -0.0, 1.0],     true),
+            ("NaN new ratio is dropped by the fold", [nan, 0.75, 0.25, 1.0], true),
+            ("NaN previous ratio is undefined", [0.1875, 0.75, nan, 1.0], false),
+            ("inf/inf previous ratio is undefined", [0.1875, 0.75, inf, inf], false),
+            ("inf new ratio: NaN change, dropped", [inf, 0.75, 0.25, 1.0], true),
+            ("inf previous ratio: infinite change", [0.1875, 0.75, inf, 1.0], false),
+            ("inf → inf: NaN change, dropped", [inf, 0.75, inf, 1.0],  true),
+            ("zero ratio stays zero",      [0.0, 0.75, 0.0, 1.0],       true),
+        ];
+        for &(what, [nx, nw, sx, sw], passes) in cases {
+            for j in [0usize, 31, 32, 63, 64, 69] {
+                let [nx, nw, sx, sw] = crafted(j, nx, nw, sx, sw);
+                assert_eq!(row_passes(&nx, &nw, &sx, &sw, eps), passes, "{what}, element {j}");
+                assert_eq!(
+                    oracle_row(&nx, &nw, &sx, &sw, eps),
+                    passes,
+                    "oracle: {what}, element {j}"
+                );
+            }
+        }
+        // The boundary itself: the change of the crafted element is
+        // exactly `d` (1 − prev is exact, and the new ratio is 1), so ε = d
+        // passes and ε one ulp lower fails.
+        let prev: f64 = 1.0 - 1e-4;
+        let d = 1.0 - prev;
+        let below = f64::from_bits(d.to_bits() - 1);
+        for j in [0usize, 31, 32, 63, 64, 69] {
+            let [nx, nw, sx, sw] = crafted(j, 1.0, 1.0, prev, 1.0);
+            assert!(row_passes(&nx, &nw, &sx, &sw, d), "change = ε, element {j}");
+            assert!(oracle_row(&nx, &nw, &sx, &sw, d));
+            assert!(!row_passes(&nx, &nw, &sx, &sw, below), "change = ε + 1 ulp, element {j}");
+            assert!(!oracle_row(&nx, &nw, &sx, &sw, below));
+        }
+    }
+
+    /// The no-sender shortcut on every pairing of awkward `x` and `w`
+    /// (signed zeros, subnormals whose half rounds, the neighbours of
+    /// `MIN_POSITIVE` and of twice it, huge, infinite, `NaN`): it accepts
+    /// exactly the rows the table marks, an accepted row's ratios are
+    /// bit-for-bit unchanged by the halving, and the kernel's verdict —
+    /// shortcut or general test — is the oracle's.
+    #[test]
+    fn no_sender_shortcut_declines_inexact_halvings() {
+        let min = f64::MIN_POSITIVE;
+        let next = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let before = |v: f64| f64::from_bits(v.to_bits() - 1);
+        #[rustfmt::skip]
+        let awkward = [
+            // (value, accepted as |x|, accepted as w)
+            (0.0,                 true,  false),
+            (f64::from_bits(1),   false, false),
+            (f64::from_bits(2),   false, false),
+            (f64::from_bits(3),   false, false),
+            (before(min),         false, false),
+            (min,                 false, false),
+            (next(min),           false, false),
+            (before(2.0 * min),   false, false),
+            (2.0 * min,           true,  true),
+            (next(2.0 * min),     true,  true),
+            (1e-3,                true,  true),
+            (1.0,                 true,  true),
+            (f64::MAX,            true,  true),
+            (f64::INFINITY,       true,  false),
+            (f64::NAN,            false, false),
+        ];
+        let eps = 1e-4;
+        let halved = |row: &[f64]| row.iter().map(|&v| 0.5 * v).collect::<Vec<f64>>();
+        for &(w, _, w_ok) in &awkward {
+            for &(ax, x_ok, _) in &awkward {
+                for x in [ax, -ax] {
+                    for j in [0usize, 31, 32, 69] {
+                        let [_, _, sx, sw] = crafted(j, 0.0, 0.0, x, w);
+                        let (nx, nw) = (halved(&sx), halved(&sw));
+                        let shortcut = halving_keeps_ratios(&sx, &sw);
+                        assert_eq!(shortcut, x_ok && w_ok, "x={x:e} w={w:e} element {j}");
+                        let general = row_passes(&nx, &nw, &sx, &sw, eps);
+                        let oracle = oracle_row(&nx, &nw, &sx, &sw, eps);
+                        assert_eq!(general, oracle, "general test, x={x:e} w={w:e} element {j}");
+                        if shortcut {
+                            assert!(general, "shortcut unsound, x={x:e} w={w:e}");
+                            assert_eq!(
+                                (nx[j] / nw[j]).to_bits(),
+                                (sx[j] / sw[j]).to_bits(),
+                                "ratio moved, x={x:e} w={w:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // Where halving is not exact the ratio really moves: three units
+        // of the last subnormal place over one lose the weight entirely.
+        let [_, _, sx, sw] = crafted(69, 0.0, 0.0, f64::from_bits(3), f64::from_bits(1));
+        let (nx, nw) = (halved(&sx), halved(&sw));
+        assert_eq!(nx[69].to_bits(), 2, "0.5 · 3 units rounds to even");
+        assert_eq!(nw[69].to_bits(), 0, "0.5 · 1 unit rounds to zero");
+        assert!(!halving_keeps_ratios(&sx, &sw));
+        assert!(!row_passes(&nx, &nw, &sx, &sw, eps));
     }
 }
 

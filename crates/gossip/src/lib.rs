@@ -22,9 +22,11 @@
 //! The engine is *synchronous-round* and fully deterministic given a seed:
 //! one [`engine::VectorGossipEngine::step`] models the paper's "gossip step"
 //! in which every node sends once and then merges everything it received.
-//! Its state lives in flat slab-partitioned arenas computed by a persistent
-//! worker pool; the parallel step is bit-identical to the sequential one
-//! for any thread count (see the [`engine`] module docs for the
+//! Its state lives in four flat slab-partitioned n×n arenas (`x` and `w`,
+//! double-buffered) computed by a persistent worker pool, and the ε test
+//! reads the previous ratios off the arena a step merges from instead of
+//! remembering them; the parallel step is bit-identical to the sequential
+//! one for any thread count (see the [`engine`] module docs for the
 //! determinism contract and the `GT_THREADS` knob). An asynchronous,
 //! message-passing implementation of the same protocol lives in the
 //! `gossiptrust-net` crate.

@@ -11,20 +11,23 @@ use serde::{Deserialize, Serialize};
 ///
 /// * own row read (`x` + `w`): `2n` f64 per row → `16n²` bytes,
 /// * next-state write (`x` + `w`): `16n²` bytes,
-/// * convergence memory `β` read + write: `16n²` bytes,
 /// * each delivered push reads the sender's `x`/`w` row once: `16n` bytes,
 /// * the CSR sender ids (u32) are read once: `4 · delivered` bytes.
 ///
-/// It is an *estimate*: dead rows skip the β stream, a row with several
-/// senders revisits its (cache-resident, `16n`-byte) write row once per
-/// extra sender, and cache residency makes real DRAM traffic lower, but
-/// the figure tracks the right order and, divided by step wall time,
-/// shows when the kernel is bandwidth-bound (compare against the
-/// machine's stream bandwidth).
+/// The ε test adds nothing: it re-reads the own row and the merged row
+/// while both are cache-resident (`32n` bytes per row), and stops at the
+/// row's first failing block.
+///
+/// It is an *estimate*: a row with several senders revisits its
+/// (cache-resident, `16n`-byte) write row once per extra sender, and cache
+/// residency makes real DRAM traffic lower, but the figure tracks the
+/// right order and, divided by step wall time, shows how far the kernel
+/// is from bandwidth-bound (compare against the machine's stream
+/// bandwidth).
 pub fn step_bytes_estimate(n: usize, delivered: usize) -> u64 {
     let n = n as u64;
     let delivered = delivered as u64;
-    48 * n * n + 16 * n * delivered + 4 * delivered
+    32 * n * n + 16 * n * delivered + 4 * delivered
 }
 
 /// Counters accumulated by a gossip engine.
@@ -44,8 +47,9 @@ pub struct GossipStats {
     /// Total triplets carried by sent messages (bandwidth proxy).
     pub triplets_sent: u64,
     /// Estimated bytes of memory traffic streamed by the step kernel
-    /// (see [`step_bytes_estimate`]) — the observable for the engine's
-    /// bandwidth-boundedness, accumulated per step.
+    /// (see [`step_bytes_estimate`]: state read and written once, one
+    /// sender row per delivery), accumulated per step — divided by step
+    /// time, the engine's distance from the bandwidth roofline.
     pub bytes_streamed: u64,
 }
 
@@ -172,12 +176,12 @@ mod tests {
         // n = 8, 5 delivered pushes.
         let n = 8u64;
         let delivered = 5u64;
-        let expected = 48 * n * n            // own read + next write + β rw
+        let expected = 32 * n * n            // own read + next write
             + 16 * n * delivered             // one sender-row read per push
             + 4 * delivered; // CSR ids, read once
         assert_eq!(step_bytes_estimate(8, 5), expected);
         // No deliveries: pure state streaming.
-        assert_eq!(step_bytes_estimate(8, 0), 48 * 64);
+        assert_eq!(step_bytes_estimate(8, 0), 32 * 64);
     }
 
     #[test]

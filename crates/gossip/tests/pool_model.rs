@@ -91,7 +91,7 @@ fn buffer_swap_rounds_conserve_tasks_and_release_reads() {
                 lcg = lcg
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                if lcg % 3 == 0 {
+                if lcg.is_multiple_of(3) {
                     thread::yield_now();
                 }
                 // The protocol's load-bearing line: release the shared

@@ -62,6 +62,14 @@ step cargo test -q -p gossiptrust-serve --features invariants
 # visible at a glance, not buried in the per-crate loop above.
 step cargo test -q -p gossiptrust-serve --lib wal::
 
+# Engine shard: the step kernel's own tests — the ε test in lockstep with
+# the stored-memory oracle all the way to convergence (block-size edges,
+# loss, disturbance, kill/revive, re-seed), its crafted-row and no-sender
+# cases, the par/seq bit-identity matrix — once plain and once under the
+# per-step shadow run, named for the same reason as the WAL shard.
+step cargo test -q -p gossiptrust-gossip --lib engine::
+step cargo test -q -p gossiptrust-gossip --lib --features invariants engine::
+
 # Observability shard: the mid-epoch scrape integration test (metrics
 # verb + HTTP listener under live load) and the <2% engine-hook
 # overhead proof (obs_overhead exits nonzero over budget).
