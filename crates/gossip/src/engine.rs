@@ -58,12 +58,48 @@
 //!
 //! Under uniform targets a contiguous share of the rows carries a
 //! near-equal share of the senders, so the split is static. The workers
-//! are a persistent pool (an epoch at n = 256 is ≈ 460 steps of ≈ 150 µs;
-//! spawning threads per step would show there). The shared read state is
-//! passed as persistent `Arc` arenas (cheap per-step `Arc` clones — the
-//! slab payloads are never moved or copied), and the freshly written
-//! slabs are published by **buffer swap** with the read arenas once all
-//! writers are done.
+//! are a persistent pool (an epoch at n = 256 is ≈ 460 steps; spawning
+//! threads per step would show there). The shared read state is passed as
+//! persistent `Arc` arenas (cheap per-step `Arc` clones — the slab
+//! payloads are never moved or copied), and the freshly written slabs are
+//! published by **buffer swap** with the read arenas once all writers are
+//! done.
+//!
+//! A step is one hand-off out and one back per worker, ≈ 460 times per
+//! n = 256 epoch, so the price of a hand-off is the price of the
+//! parallel step. On the 2-vCPU reference box a `send` to a worker
+//! parked in `recv` costs the sender 17–20 µs (futex wake, IPI, a HLT
+//! exit on the guest) and the result then arrives 59–77 µs after the
+//! caller finished a slab that took 108–129 µs: the 2-thread step ran
+//! 164–192 µs against 131–147 µs sequential. Both receives of the
+//! exchange — the worker's for its next job, the caller's for a result —
+//! therefore poll `try_recv` up to `SPIN_BUDGET` times (≈ 27 ns a poll,
+//! ≈ 0.5 ms) before they park; caught polling, the same hand-offs cost
+//! 2.6–3.1 µs and 8–24 µs, and the benchmark's traced n = 256 step went
+//! from 165–190 µs to 112–125 µs. The spinner yields its timeslice every 256
+//! polls, so a peer that is runnable but not running (another engine or
+//! a client thread holds the hardware thread) gets the CPU instead of
+//! waiting out the spin; on an idle machine the yield returns at once.
+//! After the budget an idle worker is parked exactly as before — an
+//! engine between epochs burns one budget per worker, then nothing.
+//! Spinning needs a hardware thread per executor: with more slabs than
+//! `available_parallelism` the budget is 0 (`spin_budget`; 8 slabs on
+//! the 2-thread box: 266 µs/step parked, 2 325 µs/step spinning without
+//! the rule), decided once when the pool is created.
+//!
+//! Two threads that never sleep are placed by the scheduler's periodic
+//! balancing alone, and on that box's guest kernel it is slow: two
+//! CPU-bound processes pinned one to a vCPU each take what one takes
+//! alone (the vCPUs are independent hardware), but unpinned they share
+//! one vCPU for 0.3–1.6 s while the other idles and take 2× (5 of 6
+//! trials) — an idle CPU is only picked reliably when a thread *wakes*.
+//! The parked pool re-placed its worker at every step; this one does at
+//! every park, i.e. once per epoch (the gap between two epochs outlasts
+//! the budget). In between, a third task can push caller and worker onto
+//! one vCPU: 1.4–6.4 % of the sampled steps of `epoch_n256` runs, where
+//! the yield above keeps the step near the sequential one's cost. It is
+//! also why single `par_speedup` readings (a 50-step probe) swing
+//! 0.8–1.3 there.
 //!
 //! ## Convergence detection
 //!
@@ -420,51 +456,141 @@ struct StepJob {
     task: SlabTask,
 }
 
+/// `try_recv` polls a hand-off receive makes before it parks in `recv`.
+/// Sized on the 2-vCPU reference box (≈ 27 ns per poll, so ≈ 0.5 ms):
+/// 2 000 polls already recover the whole gain at n = 256, but one step's
+/// caller/worker imbalance at n = 1000 is 40–170 µs and a receive that
+/// parks there pays the wake again (`epoch_n1000` p50 1.02× the parked
+/// pool's with 2 000, 0.88× with 20 000). An engine between epochs burns
+/// one budget per worker and then sleeps. See *Scheduling* in the module
+/// docs.
+const SPIN_BUDGET: u32 = 20_000;
+
+/// Polls between two `yield_now` calls of a spinning receive (≈ 7 µs).
+/// The awaited thread may be runnable but not running — a second engine
+/// or a client thread has its hardware thread — and then every poll until
+/// the scheduler steps in is wasted on both sides: the workspace's debug
+/// test suites, two 2-slab engines at a time on two hardware threads, ran
+/// 2.5–6× longer without the yield and as before with it, while the
+/// uncontended hand-off does not see it (`epoch_n256` p50 0.72× the
+/// parked pool's either way).
+const YIELD_EVERY: u32 = 256;
+
+/// The spin budget of a pool driving `slabs` executors (caller included)
+/// on a machine with `hardware_threads`: spinning only pays while every
+/// executor has a hardware thread of its own to spin on. Oversubscribed
+/// by construction, every spinner holds the thread another executor
+/// needs (n = 256, 8 slabs on 2 hardware threads: 266 µs/step parked,
+/// 2 325 µs spinning), so the budget is 0 and every receive parks at
+/// once.
+fn spin_budget(slabs: usize, hardware_threads: usize) -> u32 {
+    if slabs > hardware_threads {
+        0
+    } else {
+        SPIN_BUDGET
+    }
+}
+
+/// One receive of the ownership ping-pong: poll `try_recv` up to `budget`
+/// times, yielding every [`YIELD_EVERY`] polls, then park in `recv`. A
+/// disconnect seen while spinning is returned at once.
+fn recv_spin_then_park<T>(rx: &mpsc::Receiver<T>, budget: u32) -> Result<T, mpsc::RecvError> {
+    for poll in 1..=budget {
+        match rx.try_recv() {
+            Ok(msg) => return Ok(msg),
+            Err(mpsc::TryRecvError::Disconnected) => return Err(mpsc::RecvError),
+            Err(mpsc::TryRecvError::Empty) if poll % YIELD_EVERY == 0 => thread::yield_now(),
+            Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
+        }
+    }
+    rx.recv()
+}
+
+/// What a worker sends instead of its task when it dies mid-step.
+#[derive(Debug)]
+struct WorkerPanicked;
+
+/// Held by a worker for its whole life: if the thread unwinds (a panic
+/// inside `step_slab`), report it on the result channel. The other
+/// workers' sender clones keep that channel open, so without this the
+/// caller would wait forever for a task that is gone.
+struct DeathNotice(mpsc::Sender<Result<SlabTask, WorkerPanicked>>);
+
+impl Drop for DeathNotice {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            let _ = self.0.send(Err(WorkerPanicked));
+        }
+    }
+}
+
 /// The persistent worker pool: one long-lived thread per slab but the
 /// first (the caller thread computes slab 0), created once per engine on
 /// the first parallel step and reused for every subsequent step and cycle
 /// — no per-step thread spawns. Work is exchanged by *ownership*: each
 /// step worker `b` receives slab `b`'s `SlabTask` by value and sends it
-/// back when done, so no locking or unsafe aliasing is involved.
+/// back when done, so no locking or unsafe aliasing is involved. Both
+/// receives of that exchange spin briefly before they park
+/// ([`recv_spin_then_park`]).
 #[derive(Debug)]
 struct WorkerPool {
     job_txs: Vec<mpsc::Sender<StepJob>>,
-    result_rx: mpsc::Receiver<SlabTask>,
+    result_rx: mpsc::Receiver<Result<SlabTask, WorkerPanicked>>,
     handles: Vec<thread::JoinHandle<()>>,
+    /// Fixed at creation from [`spin_budget`].
+    budget: u32,
 }
 
 impl WorkerPool {
-    fn new(workers: usize) -> Self {
+    /// `workers` threads named `gt-gossip-<b>` (`b` = the slab each owns),
+    /// all receiving with `budget` polls before they park.
+    fn new(workers: usize, budget: u32) -> Self {
         let (result_tx, result_rx) = mpsc::channel();
         let mut job_txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
+        for b in 1..=workers {
             let (tx, rx) = mpsc::channel::<StepJob>();
-            let result_tx = result_tx.clone();
-            handles.push(thread::spawn(move || {
-                while let Ok(StepJob { read, mut task }) = rx.recv() {
+            let notice = DeathNotice(result_tx.clone());
+            let worker = move || {
+                while let Ok(StepJob { read, mut task }) = recv_spin_then_park(&rx, budget) {
                     step_slab(&read, &mut task);
                     // Release the shared state before reporting back so the
                     // main thread can reclaim it with `Arc::try_unwrap`.
                     drop(read);
-                    if result_tx.send(task).is_err() {
+                    if notice.0.send(Ok(task)).is_err() {
                         break;
                     }
                 }
-            }));
+            };
+            let handle = thread::Builder::new()
+                .name(format!("gt-gossip-{b}"))
+                .spawn(worker)
+                .expect("spawn gossip worker thread");
+            handles.push(handle);
             job_txs.push(tx);
         }
-        WorkerPool { job_txs, result_rx, handles }
+        WorkerPool { job_txs, result_rx, handles, budget }
+    }
+
+    /// The next finished task, from whichever worker reports first.
+    /// Panics if a worker died instead of finishing its slab.
+    fn recv_task(&self) -> SlabTask {
+        recv_spin_then_park(&self.result_rx, self.budget)
+            .expect("gossip workers exited")
+            .expect("gossip worker panicked")
+    }
+
+    /// Close the job channels — which ends every worker loop, spinning or
+    /// parked — and join the threads. Returns how many had panicked.
+    fn shut_down(&mut self) -> usize {
+        self.job_txs.clear();
+        self.handles.drain(..).filter_map(|h| h.join().err()).count()
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Closing the job channels ends the worker loops.
-        self.job_txs.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.shut_down();
     }
 }
 
@@ -491,8 +617,11 @@ pub struct VectorGossipEngine {
     corruption: Arc<CorruptionTable>,
     stats: GossipStats,
     step_idx: usize,
-    // Reused per-step scratch (send table + CSR build), so a step allocates
-    // nothing in steady state.
+    // Reused per-step scratch (send table + CSR build): a step never
+    // allocates in proportion to n² or to the deliveries. What it does
+    // allocate is the read-state bundle — the `Vec` of slab `Arc` handles
+    // in `make_read` (one pointer per slab) and, in `par_step`, the
+    // `Arc<StepRead>` the workers share — both freed when the step ends.
     sends: Vec<u32>,
     csr_offsets: Vec<u32>,
     csr_cursor: Vec<u32>,
@@ -921,7 +1050,9 @@ impl VectorGossipEngine {
         #[cfg(feature = "invariants")]
         let expected = self.expected_masses_after(corrupt_active);
         if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(self.cur.len() - 1));
+            let slabs = self.cur.len();
+            let hardware_threads = thread::available_parallelism().map_or(1, |p| p.get());
+            self.pool = Some(WorkerPool::new(slabs - 1, spin_budget(slabs, hardware_threads)));
         }
         let read = Arc::new(self.make_read(corrupt_active));
         // Shadow run of the sequential kernel over a copy of every task:
@@ -949,7 +1080,7 @@ impl VectorGossipEngine {
         }
         step_slab(&read, self.tasks[0].as_mut().expect("no step in flight"));
         for _ in 1..self.tasks.len() {
-            let task = pool.result_rx.recv().expect("gossip worker panicked");
+            let task = pool.recv_task();
             let k = task.slab.lo / self.rows_per;
             self.tasks[k] = Some(task);
         }
@@ -1572,6 +1703,156 @@ mod tests {
         for j in 0..n {
             let rel = (est[j] - exact[j]).abs() / exact[j];
             assert!(rel < 1e-3, "comp {j}: {rel}");
+        }
+    }
+
+    /// The same ping-pong traffic through the pure-park path (budget 0) and
+    /// the pure-spin path (a budget that never runs out): every message
+    /// arrives once, in order, on both sides of the exchange.
+    #[test]
+    fn hand_off_receive_delivers_on_the_park_and_the_spin_path() {
+        for budget in [0, u32::MAX] {
+            let (job_tx, job_rx) = mpsc::channel::<u64>();
+            let (result_tx, result_rx) = mpsc::channel::<u64>();
+            let echo = thread::spawn(move || {
+                while let Ok(v) = recv_spin_then_park(&job_rx, budget) {
+                    result_tx.send(v + 1).expect("caller is waiting");
+                }
+            });
+            for round in 0..200 {
+                job_tx.send(round).expect("echo thread is alive");
+                assert_eq!(
+                    recv_spin_then_park(&result_rx, budget),
+                    Ok(round + 1),
+                    "budget {budget}"
+                );
+            }
+            drop(job_tx);
+            echo.join().expect("echo thread exits on disconnect");
+            // The echo thread's sender is gone with it.
+            assert_eq!(recv_spin_then_park(&result_rx, budget), Err(mpsc::RecvError));
+        }
+    }
+
+    /// A sender dropped while the receiver spins ends the receive with
+    /// the disconnect — it must not spin out its budget (minutes, here)
+    /// first. Messages queued before the drop are still delivered.
+    #[test]
+    fn hand_off_receive_returns_a_disconnect_seen_mid_spin() {
+        let (tx, rx) = mpsc::channel::<u8>();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let dropper = thread::spawn(move || {
+            go_rx.recv().expect("released by the receiver");
+            tx.send(7).expect("receiver is alive");
+            drop(tx);
+        });
+        go_tx.send(()).expect("dropper is waiting");
+        assert_eq!(recv_spin_then_park(&rx, u32::MAX), Ok(7));
+        assert_eq!(recv_spin_then_park(&rx, u32::MAX), Err(mpsc::RecvError));
+        dropper.join().expect("dropper finished");
+    }
+
+    /// The budget is a function of the machine alone: spin while every
+    /// executor has a hardware thread, park at once when they do not.
+    #[test]
+    fn spin_budget_is_zero_when_slabs_outnumber_hardware_threads() {
+        assert_eq!(spin_budget(2, 2), SPIN_BUDGET);
+        assert_eq!(spin_budget(2, 64), SPIN_BUDGET);
+        assert_eq!(spin_budget(8, 8), SPIN_BUDGET);
+        assert_eq!(spin_budget(3, 2), 0);
+        assert_eq!(spin_budget(8, 2), 0);
+        assert_eq!(spin_budget(2, 1), 0);
+    }
+
+    /// Aggregation → idle → aggregation on one engine: while the caller is
+    /// busy elsewhere (here: running the sequential reference) the workers
+    /// run out their budget and park, and the next aggregation wakes them.
+    /// Vector, cycles and per-cycle `GossipStats` equal a fresh sequential
+    /// engine's both times, spinning (2 slabs) or not (8 slabs on any box
+    /// with fewer than 8 hardware threads).
+    #[test]
+    fn aggregations_around_an_idle_period_match_a_fresh_sequential_engine() {
+        use crate::cycle::GossipTrustAggregator;
+        let n = 24;
+        let m = star(n);
+        let start = ReputationVector::uniform(n);
+        let aggregator = |threads: usize| {
+            GossipTrustAggregator::new(Params::for_network(n))
+                .with_engine_config(config(n).with_threads(threads))
+        };
+        for threads in [2, 8] {
+            let par = aggregator(threads);
+            let mut engine = VectorGossipEngine::new(n, config(n).with_threads(threads));
+            for seed in [21, 22] {
+                let reference = aggregator(1).aggregate_with(
+                    &m,
+                    &start,
+                    &UniformChooser,
+                    &mut StdRng::seed_from_u64(seed),
+                );
+                let report = par.aggregate_with_engine(
+                    &mut engine,
+                    &m,
+                    &start,
+                    &UniformChooser,
+                    &mut StdRng::seed_from_u64(seed),
+                );
+                assert!(reference.converged);
+                assert_eq!(report, reference, "threads={threads}, seed={seed}");
+            }
+        }
+    }
+
+    /// Dropping the engine right after a step — workers just back in
+    /// their receive, spinning or parked — ends and joins every one of
+    /// them.
+    #[test]
+    fn dropping_the_engine_after_a_step_joins_every_worker() {
+        let n = 16;
+        for threads in [2, 8] {
+            let mut engine = VectorGossipEngine::new(n, config(n).with_threads(threads));
+            engine.seed(&star(n), &ReputationVector::uniform(n), &Prior::uniform(n), 0.15);
+            engine.par_step(&UniformChooser, &mut StdRng::seed_from_u64(1));
+            // `Drop` is `shut_down`; calling it by hand shows its result.
+            let mut pool = engine.pool.take().expect("pool is live after a parallel step");
+            assert_eq!(pool.handles.len(), threads - 1);
+            assert_eq!(pool.shut_down(), 0, "no worker panicked");
+            assert!(pool.handles.is_empty());
+            // Every worker's result sender went with its thread.
+            assert!(matches!(pool.result_rx.try_recv(), Err(mpsc::TryRecvError::Disconnected)));
+            drop(engine);
+        }
+    }
+
+    /// A worker that panics inside `step_slab` fails the step: the other
+    /// workers' senders keep the result channel open, so the caller only
+    /// learns of it because the dying worker says so. Two workers, the
+    /// second one's task sabotaged (a result vector too short for its
+    /// rows); parked and spinning.
+    #[test]
+    fn a_panicking_worker_fails_the_step_instead_of_hanging_it() {
+        let n = 12;
+        let mut engine = VectorGossipEngine::new(n, config(n).with_threads(3));
+        engine.seed(&star(n), &ReputationVector::uniform(n), &Prior::uniform(n), 0.15);
+        let corrupt_active = engine.draw_sends(&UniformChooser, &mut StdRng::seed_from_u64(9));
+        let read = Arc::new(engine.make_read(corrupt_active));
+        for budget in [0, SPIN_BUDGET] {
+            let mut pool = WorkerPool::new(2, budget);
+            for (b, tx) in pool.job_txs.iter().enumerate() {
+                let mut task = engine.tasks[b + 1].clone().expect("no step in flight");
+                if b == 1 {
+                    task.out.clear();
+                }
+                tx.send(StepJob { read: Arc::clone(&read), task })
+                    .expect("worker is alive");
+            }
+            let collected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                (pool.recv_task(), pool.recv_task())
+            }));
+            let payload = collected.expect_err("collecting the step's results must fail");
+            let message = payload.downcast_ref::<String>().expect("an `expect` message");
+            assert!(message.contains("gossip worker panicked"), "budget {budget}: {message}");
+            assert_eq!(pool.shut_down(), 1, "exactly the sabotaged worker died");
         }
     }
 

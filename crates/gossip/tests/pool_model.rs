@@ -7,7 +7,12 @@
 //! `Arc`, and send the task back over one shared result channel; the
 //! caller computes slab 0, reclaims the read state with `Arc::try_unwrap`
 //! / `Arc::get_mut`, and publishes by `mem::swap`ping every freshly
-//! written buffer with its read arena.
+//! written buffer with its read arena. Both blocking receives of that
+//! exchange — the worker's for its next job, the caller's for a result —
+//! poll `try_recv` a bounded number of times before they park
+//! (`recv_spin_then_park`, re-typed here as the engine's is private), and a
+//! worker that dies mid-round says so on the result channel, which its
+//! siblings' sender clones would otherwise keep open.
 //!
 //! The model checks the four properties the engine's safety rests on,
 //! under scheduling jitter and many rounds:
@@ -21,6 +26,8 @@
 //!    (a stale or double delivery would show up in the generation count);
 //! 4. **swap publication** — after the swap the arenas hold exactly the
 //!    values written this round (no torn or skipped slab).
+//!
+//! Each holds on the pure-park path (budget 0) and with a spin in front.
 //!
 //! This is the loom-style model for the protocol minus the exhaustive
 //! scheduler (loom is not a dependency of this workspace); the nightly
@@ -53,8 +60,93 @@ struct Job {
     task: Task,
 }
 
+/// What a worker sends instead of its task when it dies mid-round.
+#[derive(Debug)]
+struct WorkerPanicked;
+
+type TaskResult = Result<Task, WorkerPanicked>;
+
+/// The engine's `DeathNotice`: a worker holds its result sender in this
+/// guard for its whole life, so unwinding reports the death.
+struct DeathNotice(mpsc::Sender<TaskResult>);
+
+impl Drop for DeathNotice {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            let _ = self.0.send(Err(WorkerPanicked));
+        }
+    }
+}
+
+/// The engine's hand-off receive: up to `budget` polls with a yield every
+/// 256th, then park. A disconnect seen while polling is returned at once.
+fn recv_spin_then_park<T>(rx: &mpsc::Receiver<T>, budget: u32) -> Result<T, mpsc::RecvError> {
+    for poll in 1..=budget {
+        match rx.try_recv() {
+            Ok(msg) => return Ok(msg),
+            Err(mpsc::TryRecvError::Disconnected) => return Err(mpsc::RecvError),
+            Err(mpsc::TryRecvError::Empty) if poll % 256 == 0 => thread::yield_now(),
+            Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
+        }
+    }
+    rx.recv()
+}
+
+/// The engine's worker loop, with deterministic per-worker jitter (LCG —
+/// no ambient entropy) to vary the interleaving between rounds, and an
+/// optional round in which this worker's kernel panics.
+fn spawn_worker(
+    w: usize,
+    rx: mpsc::Receiver<Job>,
+    result_tx: mpsc::Sender<TaskResult>,
+    budget: u32,
+    panic_at: Option<u64>,
+) -> thread::JoinHandle<()> {
+    let notice = DeathNotice(result_tx);
+    thread::spawn(move || {
+        let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15 ^ (w as u64 + 1);
+        while let Ok(Job { read, mut task }) = recv_spin_then_park(&rx, budget) {
+            assert_ne!(Some(read.round), panic_at, "worker {w}: injected kernel panic");
+            fill(&read, &mut task);
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if lcg.is_multiple_of(3) {
+                thread::yield_now();
+            }
+            // The protocol's load-bearing line: release the shared
+            // read state BEFORE reporting back, so the caller's
+            // `Arc::try_unwrap` / `Arc::get_mut` can reclaim it.
+            drop(read);
+            if notice.0.send(Ok(task)).is_err() {
+                break;
+            }
+        }
+    })
+}
+
 const WORKERS: usize = 3;
 const SLABS: usize = WORKERS + 1; // one per executor; slab 0 is the caller's
+
+/// What `WorkerPool` holds: a job sender per worker, the shared result
+/// receiver, the join handles.
+type Pool = (Vec<mpsc::Sender<Job>>, mpsc::Receiver<TaskResult>, Vec<thread::JoinHandle<()>>);
+
+/// `WorkerPool::new`: `WORKERS` threads, each with its own job channel and
+/// a clone of the one result sender — only the workers keep result
+/// senders. `panic_at` = (worker, round) injects one kernel panic.
+fn spawn_pool(budget: u32, panic_at: Option<(usize, u64)>) -> Pool {
+    let (result_tx, result_rx) = mpsc::channel::<TaskResult>();
+    let mut job_txs = Vec::with_capacity(WORKERS);
+    let mut handles = Vec::with_capacity(WORKERS);
+    for w in 0..WORKERS {
+        let (tx, rx) = mpsc::channel::<Job>();
+        let panic_at = panic_at.and_then(|(victim, round)| (victim == w).then_some(round));
+        handles.push(spawn_worker(w, rx, result_tx.clone(), budget, panic_at));
+        job_txs.push(tx);
+    }
+    (job_txs, result_rx, handles)
+}
 const ROUNDS: u64 = 400;
 const PAYLOAD: usize = 64;
 
@@ -74,37 +166,19 @@ fn fill(read: &Read, task: &mut Task) {
     }
 }
 
+/// The pure-park path, and a spin short enough that on any box some
+/// receives catch their message polling and others run out and park.
+const BUDGETS: [u32; 2] = [0, 256];
+
 #[test]
 fn buffer_swap_rounds_conserve_tasks_and_release_reads() {
-    let (result_tx, result_rx) = mpsc::channel::<Task>();
-    let mut job_txs = Vec::with_capacity(WORKERS);
-    let mut handles = Vec::with_capacity(WORKERS);
-    for w in 0..WORKERS {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let result_tx = result_tx.clone();
-        handles.push(thread::spawn(move || {
-            // Deterministic per-worker jitter (LCG — no ambient entropy)
-            // to vary the interleaving between rounds.
-            let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15 ^ (w as u64 + 1);
-            while let Ok(Job { read, mut task }) = rx.recv() {
-                fill(&read, &mut task);
-                lcg = lcg
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if lcg.is_multiple_of(3) {
-                    thread::yield_now();
-                }
-                // The protocol's load-bearing line: release the shared
-                // read state BEFORE reporting back, so the caller's
-                // `Arc::try_unwrap` / `Arc::get_mut` can reclaim it.
-                drop(read);
-                if result_tx.send(task).is_err() {
-                    break;
-                }
-            }
-        }));
-        job_txs.push(tx);
+    for budget in BUDGETS {
+        buffer_swap_rounds(budget);
     }
+}
+
+fn buffer_swap_rounds(budget: u32) {
+    let (job_txs, result_rx, handles) = spawn_pool(budget, None);
 
     // Persistent read arenas + one write task per slab, exactly the
     // engine's layout.
@@ -123,7 +197,9 @@ fn buffer_swap_rounds_conserve_tasks_and_release_reads() {
         }
         fill(&read, tasks[0].as_mut().expect("task 0 checked out"));
         for _ in 0..WORKERS {
-            let task = result_rx.recv().expect("worker panicked");
+            let task = recv_spin_then_park(&result_rx, budget)
+                .expect("workers exited")
+                .expect("worker panicked");
             let k = task.slab;
             assert!(tasks[k].is_none(), "task {k} returned twice in one round");
             tasks[k] = Some(task);
@@ -164,35 +240,84 @@ fn buffer_swap_rounds_conserve_tasks_and_release_reads() {
     }
 }
 
+/// A worker whose kernel panics on a chosen round fails that round for
+/// the caller instead of hanging it: with three workers the two survivors
+/// keep the result channel open, so only the dying worker's own notice
+/// can end the caller's wait. Shutdown afterwards is clean — the
+/// survivors leave their receive (spinning or parked) on the disconnect.
+#[test]
+fn a_worker_that_panics_mid_round_fails_the_round_and_shutdown_is_clean() {
+    const PANIC_ROUND: u64 = 5;
+    const VICTIM: usize = 1;
+    for budget in BUDGETS {
+        let (job_txs, result_rx, handles) = spawn_pool(budget, Some((VICTIM, PANIC_ROUND)));
+
+        let arenas: Vec<Arc<Vec<u64>>> = (0..SLABS).map(|_| Arc::new(vec![0; PAYLOAD])).collect();
+        let mut died_in = None;
+        'rounds: for round in 1..=PANIC_ROUND {
+            // No publish between rounds: every task restarts at the
+            // round's generation, the arenas stay as they are.
+            let read = Arc::new(Read { round, arenas: arenas.clone() });
+            for (w, tx) in job_txs.iter().enumerate() {
+                let task = Task { slab: w + 1, generation: round - 1, buf: vec![0; PAYLOAD] };
+                tx.send(Job { read: Arc::clone(&read), task }).expect("worker exited");
+            }
+            for _ in 0..WORKERS {
+                match recv_spin_then_park(&result_rx, budget).expect("survivors hold senders") {
+                    Ok(task) => assert!(
+                        round < PANIC_ROUND || task.slab != VICTIM + 1,
+                        "the victim returned a task from the round it died in"
+                    ),
+                    Err(WorkerPanicked) => {
+                        died_in = Some(round);
+                        break 'rounds;
+                    }
+                }
+            }
+        }
+        assert_eq!(died_in, Some(PANIC_ROUND), "budget {budget}");
+
+        drop(job_txs);
+        let panicked: Vec<usize> = handles
+            .into_iter()
+            .enumerate()
+            .filter_map(|(w, h)| h.join().is_err().then_some(w))
+            .collect();
+        assert_eq!(panicked, [VICTIM], "budget {budget}");
+    }
+}
+
 /// Shutdown with jobs still in flight must not deadlock or lose a task:
 /// the drain pattern the engine relies on when the pool is dropped
 /// mid-stream.
 #[test]
 fn shutdown_with_inflight_jobs_is_clean() {
-    let (result_tx, result_rx) = mpsc::channel::<Task>();
-    let (tx, rx) = mpsc::channel::<Job>();
-    let handle = thread::spawn(move || {
-        while let Ok(Job { read, mut task }) = rx.recv() {
-            task.generation += read.round;
-            drop(read);
-            if result_tx.send(task).is_err() {
-                break;
+    for budget in BUDGETS {
+        let (result_tx, result_rx) = mpsc::channel::<Task>();
+        let (tx, rx) = mpsc::channel::<Job>();
+        let handle = thread::spawn(move || {
+            while let Ok(Job { read, mut task }) = recv_spin_then_park(&rx, budget) {
+                task.generation += read.round;
+                drop(read);
+                if result_tx.send(task).is_err() {
+                    break;
+                }
             }
+        });
+        for round in 1..=32u64 {
+            let read = Arc::new(Read { round, arenas: Vec::new() });
+            tx.send(Job { read, task: Task { slab: 0, generation: 0, buf: vec![] } })
+                .expect("worker exited early");
         }
-    });
-    for round in 1..=32u64 {
-        let read = Arc::new(Read { round, arenas: Vec::new() });
-        tx.send(Job { read, task: Task { slab: 0, generation: 0, buf: vec![] } })
-            .expect("worker exited early");
+        // Close the job channel with results unread, then drain: all 32
+        // tasks must still come back before the channel disconnects.
+        drop(tx);
+        let mut seen = 0;
+        while let Ok(task) = recv_spin_then_park(&result_rx, budget) {
+            assert!(task.generation > 0);
+            seen += 1;
+        }
+        assert_eq!(seen, 32, "budget {budget}");
+        handle.join().expect("worker panicked");
     }
-    // Close the job channel with results unread, then drain: all 32 tasks
-    // must still come back before the channel disconnects.
-    drop(tx);
-    let mut seen = 0;
-    while let Ok(task) = result_rx.recv() {
-        assert!(task.generation > 0);
-        seen += 1;
-    }
-    assert_eq!(seen, 32);
-    handle.join().expect("worker panicked");
 }

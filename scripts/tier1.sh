@@ -65,10 +65,15 @@ step cargo test -q -p gossiptrust-serve --lib wal::
 # Engine shard: the step kernel's own tests — the ε test in lockstep with
 # the stored-memory oracle all the way to convergence (block-size edges,
 # loss, disturbance, kill/revive, re-seed), its crafted-row and no-sender
-# cases, the par/seq bit-identity matrix — once plain and once under the
-# per-step shadow run, named for the same reason as the WAL shard.
+# cases, the par/seq bit-identity matrix, the spin-then-park hand-off
+# (park path, spin path, disconnect mid-spin, the oversubscription rule, a
+# panicking worker) — once plain and once under the per-step shadow run,
+# named for the same reason as the WAL shard. The hand-off protocol's
+# model (tests/pool_model.rs) is part of the kernel's contract and runs
+# beside it.
 step cargo test -q -p gossiptrust-gossip --lib engine::
 step cargo test -q -p gossiptrust-gossip --lib --features invariants engine::
+step cargo test -q -p gossiptrust-gossip --test pool_model
 
 # Observability shard: the mid-epoch scrape integration test (metrics
 # verb + HTTP listener under live load) and the <2% engine-hook
