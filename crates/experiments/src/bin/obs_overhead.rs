@@ -9,7 +9,7 @@
 //! job turns an instrumentation regression into a red build:
 //!
 //! ```text
-//! cargo run --release -p gossiptrust-bench --bin obs_overhead
+//! cargo run --release -p gossiptrust-experiments --bin obs_overhead
 //! ```
 //!
 //! Set `GT_BENCH_QUICK=1` for a seconds-long smoke pass at reduced size

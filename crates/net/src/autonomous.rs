@@ -25,64 +25,21 @@
 //! Cycle numbers keep the push streams of different cycles from mixing,
 //! exactly as in the barrier mode.
 
-use crate::codec::Push;
-use crate::transport::Transport;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::node::{
+    min_ticks, trust_row, ClusterCounters, Inbound, NodeConfig, NodeCore, NodeThreads,
+};
+use crate::transport::{Inbox, Transport};
 use gossiptrust_core::id::NodeId;
 use gossiptrust_core::matrix::TrustMatrix;
 use gossiptrust_core::params::Params;
 use gossiptrust_core::power_iter::cycle_bound;
-use gossiptrust_core::power_nodes::PowerNodeSelector;
+use gossiptrust_core::power_nodes::{PowerNodeSelector, Prior};
 use gossiptrust_core::vector::ReputationVector;
-use gossiptrust_crypto::{IdentityKey, Pkg, SignedEnvelope, Verifier};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use gossiptrust_crypto::Pkg;
+use gossiptrust_obs::Deadline;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::time::Duration;
-use tokio::sync::mpsc;
-use tokio::time::MissedTickBehavior;
-
-/// A push extended with the sender's converged bitmap.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AutonomousPush {
-    /// The ordinary gossip push.
-    pub push: Push,
-    /// Bitmap of nodes known (transitively) to have converged this cycle.
-    pub converged: Vec<u64>,
-}
-
-impl AutonomousPush {
-    /// Serialize: `push_len: u32 | push | bitmap_words: u32 | bitmap`.
-    pub fn encode(&self) -> Bytes {
-        let push = self.push.encode();
-        let mut buf = BytesMut::with_capacity(8 + push.len() + 8 * self.converged.len());
-        buf.put_u32_le(push.len() as u32);
-        buf.put_slice(&push);
-        buf.put_u32_le(self.converged.len() as u32);
-        for &w in &self.converged {
-            buf.put_u64_le(w);
-        }
-        buf.freeze()
-    }
-
-    /// Deserialize; `None` on malformed input.
-    pub fn decode(mut data: &[u8]) -> Option<AutonomousPush> {
-        if data.len() < 4 {
-            return None;
-        }
-        let push_len = data.get_u32_le() as usize;
-        if data.len() < push_len + 4 {
-            return None;
-        }
-        let push = Push::decode(&data[..push_len])?;
-        data.advance(push_len);
-        let words = data.get_u32_le() as usize;
-        if data.len() != 8 * words {
-            return None;
-        }
-        let converged = (0..words).map(|_| data.get_u64_le()).collect();
-        Some(AutonomousPush { push, converged })
-    }
-}
 
 fn bitmap_words(n: usize) -> usize {
     n.div_ceil(64)
@@ -151,22 +108,6 @@ pub struct AutonomousReport {
     pub converged_fraction: f64,
 }
 
-struct NodeState {
-    xs: Vec<f64>,
-    ws: Vec<f64>,
-    prev_beta: Vec<f64>,
-    streak: usize,
-    ticks: usize,
-    cycle: u32,
-    bitmap: Vec<u64>,
-    self_converged: bool,
-    previous_estimate: Option<ReputationVector>,
-    prior: Vec<f64>,
-    v_own: f64,
-    cycles_run: usize,
-    delta_passed: bool,
-}
-
 /// The fixed cycle count every node derives from public parameters: the
 /// paper's bound `d ≤ ⌈log_b δ⌉` with the mixing guarantee `b ≤ 1 − α`
 /// (plus slack for gossip noise), clamped to the configured budget.
@@ -176,294 +117,190 @@ fn planned_cycles(params: &Params) -> usize {
     (bound + 3).min(params.max_cycles).max(2)
 }
 
-/// Run the fully distributed protocol over in-memory transports and
-/// collect every node's local result.
+/// Run the fully distributed protocol, one thread per node, and collect
+/// every node's local result. Every thread it starts has ended when it
+/// returns; nodes that had not finished by `config.deadline` are stopped
+/// and left out of the report.
 ///
 /// (Generic over [`Transport`] so tests can inject loss or tampering; the
-/// public entry point wires the in-memory network.)
-pub async fn run_autonomous<T: Transport>(
+/// caller wires the network, e.g. [`crate::transport::InMemoryNetwork`].)
+pub fn run_autonomous<T: Transport>(
     matrix: &TrustMatrix,
     params: &Params,
     config: AutonomousConfig,
     transports: Vec<T>,
-    receivers: Vec<mpsc::Receiver<Bytes>>,
+    inboxes: Vec<Inbox>,
 ) -> AutonomousReport {
     let n = matrix.n();
     assert!(n >= 2, "need at least two nodes");
     assert_eq!(params.n, n, "params.n must match the matrix");
-    assert_eq!(transports.len(), n, "one transport per node");
     let pkg = Pkg::from_seed(config.seed ^ 0xA070);
-    let (done_tx, mut done_rx) = mpsc::channel::<NodeReport>(n);
-
-    let mut tasks = Vec::with_capacity(n);
-    for (i, (transport, net_rx)) in transports.into_iter().zip(receivers).enumerate() {
-        let id = NodeId::from_index(i);
-        let (cols, vals) = matrix.row(id);
-        let row: Vec<(u32, f64)> = cols.iter().zip(vals).map(|(&c, &v)| (c, v)).collect();
-        let key = pkg.issue(i as u32);
-        let verifier = pkg.verifier();
+    let counters = Arc::new(ClusterCounters::default());
+    let cores = (0..n)
+        .map(|i| {
+            let node = NodeConfig {
+                id: i as u32,
+                n,
+                alpha: params.alpha,
+                epsilon: config.epsilon,
+                patience: config.patience,
+                min_ticks: min_ticks(n),
+                max_ticks: config.max_ticks,
+                tick: config.tick,
+                row: trust_row(matrix, i),
+                key: pkg.issue(i as u32),
+                verifier: pkg.verifier(),
+                seed: config.seed,
+            };
+            NodeCore::new(node, Arc::clone(&counters))
+        })
+        .collect();
+    let (done_tx, done_rx) = mpsc::channel::<NodeReport>();
+    let nodes = NodeThreads::start(cores, transports, inboxes, {
         let params = params.clone();
-        let config = config.clone();
-        let done = done_tx.clone();
-        tasks.push(tokio::spawn(async move {
-            autonomous_node(
-                i as u32, n, row, params, config, key, verifier, transport, net_rx, done,
-            )
-            .await;
-        }));
-    }
-    drop(done_tx);
-
-    let mut nodes = Vec::with_capacity(n);
-    // One overall deadline for the collection loop, not per-recv.
-    let _ = tokio::time::timeout(config.deadline, async {
-        while nodes.len() < n {
-            match done_rx.recv().await {
-                Some(report) => nodes.push(report),
-                None => break,
-            }
+        move |core, transport, inbox| {
+            autonomous_node(core, &params, transport, inbox, done_tx.clone())
         }
-    })
-    .await;
-    for t in tasks {
-        t.abort();
-    }
+    });
 
-    assert!(!nodes.is_empty(), "no node finished before the deadline");
+    // One overall deadline for the collection loop, not per-recv.
+    let deadline = Deadline::after(config.deadline);
+    let mut reports = Vec::with_capacity(n);
+    while reports.len() < n {
+        match done_rx.recv_timeout(deadline.remaining()) {
+            Ok(report) => reports.push(report),
+            Err(_) => break,
+        }
+    }
+    nodes.stop_and_join();
+
+    assert!(!reports.is_empty(), "no node finished before the deadline");
     let mut mean = vec![0.0; n];
-    for r in &nodes {
+    for r in &reports {
         for (m, &v) in mean.iter_mut().zip(r.vector.values()) {
-            *m += v / nodes.len() as f64;
+            *m += v / reports.len() as f64;
         }
     }
     let converged_fraction =
-        nodes.iter().filter(|r| r.converged).count() as f64 / nodes.len() as f64;
+        reports.iter().filter(|r| r.converged).count() as f64 / reports.len() as f64;
     AutonomousReport {
         vector: ReputationVector::from_weights(mean).expect("mean of normalized vectors"),
-        nodes,
+        nodes: reports,
         converged_fraction,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-async fn autonomous_node<T: Transport>(
-    id: u32,
-    n: usize,
-    row: Vec<(u32, f64)>,
-    params: Params,
-    config: AutonomousConfig,
-    key: IdentityKey,
-    verifier: Verifier,
+/// What the coordinator-free loop keeps beside the shared [`NodeCore`]:
+/// the converged bitmap and the outer loop a coordinator would run.
+struct Autonomy {
+    bitmap: Vec<u64>,
+    self_converged: bool,
+    previous_estimate: Option<ReputationVector>,
+    cycles_run: usize,
+    delta_passed: bool,
+    planned_cycles: usize,
+    selector: PowerNodeSelector,
+}
+
+impl Autonomy {
+    /// Close the core's current cycle: extract, run the local outer δ test,
+    /// pick power nodes locally, and either report (done) or seed the next
+    /// cycle.
+    fn end_cycle(&mut self, core: &mut NodeCore, params: &Params) -> Option<NodeReport> {
+        let vector = core.end_cycle();
+        self.cycles_run += 1;
+        self.delta_passed |= self
+            .previous_estimate
+            .as_ref()
+            .is_some_and(|prev| prev.avg_relative_error(&vector).expect("same n") < params.delta);
+        // Deterministic collective termination: every node runs the same
+        // pre-computed number of cycles (see `planned_cycles`).
+        if self.cycles_run >= self.planned_cycles {
+            return Some(NodeReport {
+                node: NodeId(core.config().id),
+                vector,
+                cycles: self.cycles_run,
+                converged: self.delta_passed,
+            });
+        }
+        // Fully local power-node selection for the next cycle's prior.
+        let prior = Prior::over_nodes(params.n, &self.selector.select(&vector)).to_dense();
+        self.previous_estimate = Some(vector);
+        self.bitmap.fill(0);
+        self.self_converged = false;
+        core.seed(core.cycle() + 1, &prior);
+        None
+    }
+}
+
+/// One coordinator-free node: gossip from the start, end each cycle when
+/// the piggybacked bitmap says everyone's detector has fired, leave after
+/// the planned number of cycles (or on `Stop`).
+fn autonomous_node<T: Transport>(
+    mut core: NodeCore,
+    params: &Params,
     transport: T,
-    mut net_rx: mpsc::Receiver<Bytes>,
-    done: mpsc::Sender<NodeReport>,
+    inbox: Receiver<Inbound>,
+    done: Sender<NodeReport>,
 ) {
-    let mut rng = StdRng::seed_from_u64(config.seed ^ (id as u64).wrapping_mul(0x2545F4914F6CDD1D));
-    let selector = PowerNodeSelector::new(params.max_power_nodes);
-    let mut state = NodeState {
-        xs: vec![0.0; n],
-        ws: vec![0.0; n],
-        prev_beta: vec![f64::NAN; n],
-        streak: 0,
-        ticks: 0,
-        cycle: 1,
+    let NodeConfig { id, n, tick: period, max_ticks, .. } = *core.config();
+    let mut state = Autonomy {
         bitmap: vec![0; bitmap_words(n)],
         self_converged: false,
         previous_estimate: None,
-        prior: vec![1.0 / n as f64; n],
-        v_own: 1.0 / n as f64,
         cycles_run: 0,
         delta_passed: false,
+        planned_cycles: planned_cycles(params),
+        selector: PowerNodeSelector::new(params.max_power_nodes),
     };
-    seed_cycle(&mut state, id, n, &row, params.alpha);
-
-    let min_ticks = (n.max(2) as f64).log2().ceil() as usize;
-    let mut interval = tokio::time::interval(config.tick);
-    interval.set_missed_tick_behavior(MissedTickBehavior::Delay);
-
+    core.seed(1, &vec![1.0 / n as f64; n]);
+    let mut next_tick = Deadline::after(period);
     loop {
-        tokio::select! {
-            _ = interval.tick() => {
-                // Send one halved push with the piggybacked bitmap.
-                for x in state.xs.iter_mut() { *x *= 0.5; }
-                for w in state.ws.iter_mut() { *w *= 0.5; }
-                let raw = rng.random_range(0..n - 1);
-                let target = if raw >= id as usize { raw + 1 } else { raw } as u32;
-                let push = AutonomousPush {
-                    push: Push {
-                        sender: id,
-                        cycle: state.cycle,
-                        xs: state.xs.clone(),
-                        ws: state.ws.clone(),
-                    },
-                    converged: state.bitmap.clone(),
-                };
-                let envelope = key.seal(&push.encode());
-                transport.send(target, envelope.encode()).await;
-                state.ticks += 1;
-
-                // Local detector.
-                if !state.self_converged && detector_fires(&mut state, n, config.epsilon, config.patience, min_ticks)
-                    || state.ticks >= config.max_ticks
-                {
-                    state.self_converged = true;
-                    state.bitmap[id as usize / 64] |= 1u64 << (id as usize % 64);
-                }
-                // Cycle end: everyone (as far as we know) is done, or the
-                // tick budget forces progress (e.g. finished peers have
-                // gone quiet in the very last cycle).
-                let force = state.self_converged && state.ticks >= config.max_ticks;
-                if (state.self_converged && bitmap_full(&state.bitmap, n)) || force {
-                    let finished = end_cycle(&mut state, id, n, &row, &params, &selector);
-                    if let Some(report) = finished {
-                        let _ = done.send(report).await;
-                        return;
-                    }
+        if next_tick.expired() {
+            // The tick goes before the inbox, so a flood of pushes cannot
+            // starve it; the next one is a full period from now.
+            let (target, datagram) = core.tick(&state.bitmap);
+            transport.send(target, datagram);
+            if !state.self_converged && core.converged_now() {
+                state.self_converged = true;
+                state.bitmap[id as usize / 64] |= 1u64 << (id as usize % 64);
+            }
+            // Cycle end: everyone (as far as we know) is done, or the
+            // tick budget forces progress (e.g. finished peers have
+            // gone quiet in the very last cycle).
+            if state.self_converged && (bitmap_full(&state.bitmap, n) || core.ticks() >= max_ticks)
+            {
+                if let Some(report) = state.end_cycle(&mut core, params) {
+                    let _ = done.send(report);
+                    return;
                 }
             }
-            msg = net_rx.recv() => {
-                let Some(data) = msg else { return };
-                let Some(envelope) = SignedEnvelope::decode(&data) else { continue };
-                let Some(payload) = verifier.open(&envelope) else { continue };
-                let Some(incoming) = AutonomousPush::decode(&payload) else { continue };
-                if incoming.push.sender != envelope.sender || incoming.push.xs.len() != n {
-                    continue;
-                }
-                if incoming.push.cycle > state.cycle {
-                    // Straggler catch-up: close our cycle now and jump.
-                    let target_cycle = incoming.push.cycle;
-                    while state.cycle < target_cycle {
-                        if let Some(report) = end_cycle(&mut state, id, n, &row, &params, &selector) {
-                            let _ = done.send(report).await;
-                            return;
-                        }
-                    }
-                }
-                if incoming.push.cycle == state.cycle {
-                    for (d, s) in state.xs.iter_mut().zip(&incoming.push.xs) { *d += s; }
-                    for (d, s) in state.ws.iter_mut().zip(&incoming.push.ws) { *d += s; }
-                    for (b, w) in state.bitmap.iter_mut().zip(&incoming.converged) { *b |= w; }
-                }
-                // Older-cycle pushes are stale: dropped.
+            next_tick = Deadline::after(period);
+            continue;
+        }
+        let data = match inbox.recv_timeout(next_tick.remaining()) {
+            Ok(Inbound::Datagram(data)) => data,
+            // The coordinator's cycle messages mean nothing here.
+            Ok(Inbound::StartCycle { .. } | Inbound::EndCycle { .. }) => continue,
+            Err(RecvTimeoutError::Timeout) => continue,
+            Ok(Inbound::Stop) | Err(RecvTimeoutError::Disconnected) => return,
+        };
+        let Some(message) = core.open(&data) else {
+            continue;
+        };
+        // Straggler catch-up: close our cycles now and jump to the sender's.
+        while message.push.cycle > core.cycle() {
+            if let Some(report) = state.end_cycle(&mut core, params) {
+                let _ = done.send(report);
+                return;
+            }
+        }
+        if core.merge(&message.push) {
+            for (b, w) in state.bitmap.iter_mut().zip(&message.converged) {
+                *b |= w;
             }
         }
     }
-}
-
-fn seed_cycle(state: &mut NodeState, id: u32, n: usize, row: &[(u32, f64)], alpha: f64) {
-    let vi = state.v_own;
-    for (x, &pj) in state.xs.iter_mut().zip(&state.prior) {
-        *x = vi * alpha * pj;
-    }
-    if row.is_empty() {
-        let share = vi * (1.0 - alpha) / n as f64;
-        for x in state.xs.iter_mut() {
-            *x += share;
-        }
-    } else {
-        for &(j, s) in row {
-            state.xs[j as usize] += vi * (1.0 - alpha) * s;
-        }
-    }
-    state.ws.fill(0.0);
-    state.ws[id as usize] = 1.0;
-    state.prev_beta.fill(f64::NAN);
-    state.streak = 0;
-    state.ticks = 0;
-    state.bitmap.fill(0);
-    state.self_converged = false;
-}
-
-fn detector_fires(
-    state: &mut NodeState,
-    n: usize,
-    epsilon: f64,
-    patience: usize,
-    min_ticks: usize,
-) -> bool {
-    let mut change: f64 = 0.0;
-    let mut defined = true;
-    for j in 0..n {
-        let w = state.ws[j];
-        if w > 0.0 {
-            let beta = state.xs[j] / w;
-            let prev = state.prev_beta[j];
-            if prev.is_nan() {
-                change = f64::INFINITY;
-            } else {
-                change = change.max((beta - prev).abs() / beta.abs().max(f64::MIN_POSITIVE));
-            }
-            state.prev_beta[j] = beta;
-        } else {
-            defined = false;
-            state.prev_beta[j] = f64::NAN;
-        }
-    }
-    if defined && change <= epsilon {
-        state.streak += 1;
-    } else {
-        state.streak = 0;
-    }
-    state.streak >= patience && state.ticks >= min_ticks
-}
-
-/// Close the current cycle: extract, run the local outer δ test, pick
-/// power nodes locally, and either report (done) or seed the next cycle.
-fn end_cycle(
-    state: &mut NodeState,
-    id: u32,
-    n: usize,
-    row: &[(u32, f64)],
-    params: &Params,
-    selector: &PowerNodeSelector,
-) -> Option<NodeReport> {
-    // Sanitize: a ratio can overflow to Inf when a component's consensus
-    // weight is subnormal (repeated halving under scheduling starvation),
-    // and a forced cycle end can catch a node with no usable estimate at
-    // all — fall back to uniform rather than crash the actor.
-    let mut estimate: Vec<f64> = state
-        .xs
-        .iter()
-        .zip(&state.ws)
-        .map(|(&x, &w)| {
-            let beta = if w > 0.0 { x / w } else { 0.0 };
-            if beta.is_finite() {
-                beta.max(0.0)
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    if estimate.iter().sum::<f64>() <= 0.0 {
-        estimate.fill(1.0 / n as f64);
-    }
-    let vector = ReputationVector::from_weights(estimate).expect("sanitized estimates");
-    state.v_own = vector.score(NodeId(id)).max(f64::MIN_POSITIVE);
-    state.cycles_run += 1;
-
-    let locally_converged = state
-        .previous_estimate
-        .as_ref()
-        .map(|prev| prev.avg_relative_error(&vector).expect("same n") < params.delta)
-        .unwrap_or(false);
-    state.delta_passed = state.delta_passed || locally_converged;
-    // Deterministic collective termination: every node runs the same
-    // pre-computed number of cycles (see `planned_cycles`).
-    if state.cycles_run >= planned_cycles(params) {
-        return Some(NodeReport {
-            node: NodeId(id),
-            vector,
-            cycles: state.cycles_run,
-            converged: state.delta_passed,
-        });
-    }
-    // Fully local power-node selection for the next cycle's prior.
-    let power = selector.select(&vector);
-    state.prior = gossiptrust_core::power_nodes::Prior::over_nodes(n, &power).to_dense();
-    state.previous_estimate = Some(vector);
-    state.cycle += 1;
-    seed_cycle(state, id, n, row, params.alpha);
-    None
 }
 
 #[cfg(test)]
@@ -486,19 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn autonomous_push_roundtrip() {
-        let p = AutonomousPush {
-            push: Push { sender: 3, cycle: 2, xs: vec![0.1, 0.2], ws: vec![0.5, 0.0] },
-            converged: vec![0b1011],
-        };
-        assert_eq!(AutonomousPush::decode(&p.encode()).unwrap(), p);
-        assert!(AutonomousPush::decode(&[1, 2]).is_none());
-        let mut truncated = p.encode().to_vec();
-        truncated.pop();
-        assert!(AutonomousPush::decode(&truncated).is_none());
-    }
-
-    #[test]
     fn bitmap_helpers() {
         assert_eq!(bitmap_words(1), 1);
         assert_eq!(bitmap_words(64), 1);
@@ -510,12 +334,12 @@ mod tests {
         assert!(bitmap_full(&bm, 65));
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn coordinator_free_run_matches_oracle() {
+    #[test]
+    fn coordinator_free_run_matches_oracle() {
         let n = 12;
         let matrix = authority(n);
         let params = Params::for_network(n);
-        let (net, receivers) = InMemoryNetwork::new(n, 2048, 0.0, 0);
+        let (net, inboxes) = InMemoryNetwork::new(n, 2048, 0.0, 0);
         let transports: Vec<InMemoryHandle> =
             (0..n).map(|_| InMemoryHandle::new(Arc::clone(&net))).collect();
         let report = run_autonomous(
@@ -523,9 +347,8 @@ mod tests {
             &params,
             AutonomousConfig { seed: 7, ..AutonomousConfig::fast_local() },
             transports,
-            receivers,
-        )
-        .await;
+            inboxes,
+        );
         assert_eq!(report.nodes.len(), n, "every node must report");
         assert!(report.converged_fraction > 0.5, "fraction {}", report.converged_fraction);
         // Rankings agree with the oracle's top choice.
@@ -538,13 +361,13 @@ mod tests {
         }
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn survives_message_loss() {
+    #[test]
+    fn survives_message_loss() {
         let n = 10;
         let matrix = authority(n);
         let mut params = Params::for_network(n);
         params.delta = 5e-2; // loss raises the noise floor (Table 3 logic)
-        let (net, receivers) = InMemoryNetwork::new(n, 2048, 0.05, 3);
+        let (net, inboxes) = InMemoryNetwork::new(n, 2048, 0.05, 3);
         let transports: Vec<InMemoryHandle> =
             (0..n).map(|_| InMemoryHandle::new(Arc::clone(&net))).collect();
         let report = run_autonomous(
@@ -552,9 +375,8 @@ mod tests {
             &params,
             AutonomousConfig { seed: 9, ..AutonomousConfig::fast_local() },
             transports,
-            receivers,
-        )
-        .await;
+            inboxes,
+        );
         assert!(!report.nodes.is_empty());
         assert_eq!(report.vector.ranking()[0], NodeId(0));
     }

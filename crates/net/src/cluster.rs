@@ -1,4 +1,4 @@
-//! Cluster driver: `n` node tasks + a coordinator barrier.
+//! Cluster driver: `n` node threads + a coordinator barrier.
 //!
 //! The coordinator starts each aggregation cycle, waits for all nodes'
 //! local convergence notifications (with a timeout backstop), collects the
@@ -6,10 +6,11 @@
 //! the next cycle — the explicit-barrier rendition of Algorithm 2's outer
 //! loop. The gossip itself (ticks, pushes, merges) is fully decentralized.
 
-use crate::node::{run_node, ClusterCounters, Control, NodeConfig};
-use crate::transport::{InMemoryHandle, InMemoryNetwork, Transport};
+use crate::node::{
+    min_ticks, run_node, trust_row, ClusterCounters, Inbound, NodeConfig, NodeCore, NodeThreads,
+};
+use crate::transport::{InMemoryHandle, InMemoryNetwork, Inbox, Transport};
 use crate::udp::UdpEndpoint;
-use bytes::Bytes;
 use gossiptrust_core::convergence::VectorConvergence;
 use gossiptrust_core::id::NodeId;
 use gossiptrust_core::matrix::TrustMatrix;
@@ -17,10 +18,11 @@ use gossiptrust_core::params::Params;
 use gossiptrust_core::power_nodes::PowerNodeSelector;
 use gossiptrust_core::vector::ReputationVector;
 use gossiptrust_crypto::Pkg;
+use gossiptrust_obs::Deadline;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
-use tokio::sync::{mpsc, oneshot};
 
 /// Network/runtime configuration for a cluster run.
 #[derive(Clone, Debug)]
@@ -98,7 +100,7 @@ pub struct ClusterReport {
     pub power_nodes: Vec<NodeId>,
 }
 
-/// An async GossipTrust cluster.
+/// A GossipTrust cluster of real concurrent nodes: one thread each.
 pub struct Cluster {
     config: NetConfig,
     kind: TransportKind,
@@ -115,14 +117,15 @@ impl Cluster {
         Cluster { config, kind: TransportKind::Udp }
     }
 
-    /// Run a full aggregation of `matrix` under `params`.
-    pub async fn run(&self, matrix: &TrustMatrix, params: &Params) -> ClusterReport {
+    /// Run a full aggregation of `matrix` under `params`. Every thread it
+    /// starts has ended when it returns.
+    pub fn run(&self, matrix: &TrustMatrix, params: &Params) -> ClusterReport {
         let n = matrix.n();
         assert!(n >= 2, "cluster needs at least two nodes");
         assert_eq!(params.n, n, "params.n must match the matrix");
         match self.kind {
             TransportKind::InMemory => {
-                let (net, receivers) = InMemoryNetwork::new(
+                let (net, inboxes) = InMemoryNetwork::new(
                     n,
                     self.config.queue_cap,
                     self.config.loss_rate,
@@ -130,61 +133,50 @@ impl Cluster {
                 );
                 let transports: Vec<InMemoryHandle> =
                     (0..n).map(|_| InMemoryHandle::new(Arc::clone(&net))).collect();
-                self.run_with(matrix, params, transports, receivers).await
+                self.run_with(matrix, params, transports, inboxes)
             }
             TransportKind::Udp => {
-                let endpoints = UdpEndpoint::bind_cluster(n).await;
-                let (transports, receivers): (Vec<_>, Vec<_>) = endpoints.into_iter().unzip();
-                self.run_with(matrix, params, transports, receivers).await
+                let (transports, inboxes): (Vec<_>, Vec<_>) =
+                    UdpEndpoint::bind_cluster(n).into_iter().unzip();
+                self.run_with(matrix, params, transports, inboxes)
             }
         }
     }
 
-    async fn run_with<T: Transport>(
+    fn run_with<T: Transport>(
         &self,
         matrix: &TrustMatrix,
         params: &Params,
         transports: Vec<T>,
-        receivers: Vec<mpsc::Receiver<Bytes>>,
+        inboxes: Vec<Inbox>,
     ) -> ClusterReport {
         let n = matrix.n();
         let pkg = Pkg::from_seed(self.config.seed ^ 0x5EC0DE);
         let counters = Arc::new(ClusterCounters::default());
-        let (converged_tx, mut converged_rx) = mpsc::channel::<(u32, u32)>(n * 2);
-
-        let min_ticks = (n.max(2) as f64).log2().ceil() as usize;
-        let mut ctrl_txs = Vec::with_capacity(n);
-        let mut tasks = Vec::with_capacity(n);
-        for (i, (transport, net_rx)) in transports.into_iter().zip(receivers).enumerate() {
-            let id = NodeId::from_index(i);
-            let (cols, vals) = matrix.row(id);
-            let row: Vec<(u32, f64)> = cols.iter().zip(vals).map(|(&c, &v)| (c, v)).collect();
-            let config = NodeConfig {
-                id: i as u32,
-                n,
-                alpha: params.alpha,
-                epsilon: self.config.epsilon,
-                patience: self.config.patience,
-                min_ticks,
-                max_ticks: self.config.max_ticks,
-                tick: self.config.tick,
-                row,
-                key: pkg.issue(i as u32),
-                verifier: pkg.verifier(),
-                seed: self.config.seed,
-            };
-            let (ctrl_tx, ctrl_rx) = mpsc::channel::<Control>(8);
-            ctrl_txs.push(ctrl_tx);
-            tasks.push(tokio::spawn(run_node(
-                config,
-                transport,
-                net_rx,
-                ctrl_rx,
-                converged_tx.clone(),
-                Arc::clone(&counters),
-            )));
-        }
-        drop(converged_tx);
+        let cores = (0..n)
+            .map(|i| {
+                let config = NodeConfig {
+                    id: i as u32,
+                    n,
+                    alpha: params.alpha,
+                    epsilon: self.config.epsilon,
+                    patience: self.config.patience,
+                    min_ticks: min_ticks(n),
+                    max_ticks: self.config.max_ticks,
+                    tick: self.config.tick,
+                    row: trust_row(matrix, i),
+                    key: pkg.issue(i as u32),
+                    verifier: pkg.verifier(),
+                    seed: self.config.seed,
+                };
+                NodeCore::new(config, Arc::clone(&counters))
+            })
+            .collect();
+        let (converged_tx, converged_rx) = mpsc::channel::<(u32, u32)>();
+        let nodes =
+            NodeThreads::start(cores, transports, inboxes, move |core, transport, inbox| {
+                run_node(core, transport, inbox, converged_tx.clone())
+            });
 
         let selector = PowerNodeSelector::new(params.max_power_nodes);
         let mut outer = VectorConvergence::new(params.delta);
@@ -196,50 +188,37 @@ impl Cluster {
 
         for cycle in 1..=params.max_cycles as u32 {
             cycles = cycle as usize;
-            for tx in &ctrl_txs {
-                let _ = tx
-                    .send(Control::StartCycle { cycle, prior: Arc::clone(&prior) })
-                    .await;
-            }
+            nodes.broadcast(|| Inbound::StartCycle { cycle, prior: Arc::clone(&prior) });
             // Barrier: wait for all n nodes to report convergence for this
-            // cycle, with a timeout backstop.
+            // cycle, with one timeout over the whole wait as the backstop.
+            let barrier = Deadline::after(self.config.cycle_timeout);
             let mut reported = vec![false; n];
             let mut count = 0usize;
-            // The whole barrier races one timeout (no per-recv deadline
-            // arithmetic — raw clock reads stay out of this crate).
-            let _ = tokio::time::timeout(self.config.cycle_timeout, async {
-                while count < n {
-                    match converged_rx.recv().await {
-                        Some((node, c)) if c == cycle => {
-                            if !reported[node as usize] {
-                                reported[node as usize] = true;
-                                count += 1;
-                            }
-                        }
-                        Some(_) => {} // stale notification from a prior cycle
-                        None => break,
+            while count < n {
+                match converged_rx.recv_timeout(barrier.remaining()) {
+                    Ok((node, c)) if c == cycle && !reported[node as usize] => {
+                        reported[node as usize] = true;
+                        count += 1;
                     }
-                }
-            })
-            .await;
-            // Collect estimates.
-            let mut estimates = Vec::with_capacity(n);
-            for tx in &ctrl_txs {
-                let (reply_tx, reply_rx) = oneshot::channel();
-                let _ = tx.send(Control::EndCycle { reply: reply_tx }).await;
-                if let Ok(est) = reply_rx.await {
-                    estimates.push(est);
+                    Ok(_) => {} // stale notification from a prior cycle
+                    Err(_) => break,
                 }
             }
-            let mut mean = vec![0.0; n];
-            let denom = estimates.len().max(1) as f64;
-            for est in &estimates {
-                for (m, &e) in mean.iter_mut().zip(est) {
-                    *m += e / denom;
+            // Collect the estimates: every node gets a clone of one reply
+            // sender, so the receiver ends when the last of them has
+            // answered (or gone).
+            let (reply_tx, reply_rx) = mpsc::channel();
+            nodes.broadcast(|| Inbound::EndCycle { reply: reply_tx.clone() });
+            drop(reply_tx);
+            let mut sum = vec![0.0; n];
+            for estimate in reply_rx {
+                for (s, &e) in sum.iter_mut().zip(estimate.values()) {
+                    *s += e;
                 }
             }
-            let next = ReputationVector::from_weights(mean.iter().map(|&x| x.max(0.0)).collect())
-                .expect("estimates stay positive in aggregate");
+            // `from_weights` normalizes, so the sum stands in for the mean.
+            let next = ReputationVector::from_weights(sum)
+                .expect("every node answers EndCycle with a normalized estimate");
             let hit = outer.observe(&next);
             current = next;
             prior = Arc::new(selector.prior(&current).to_dense());
@@ -248,13 +227,7 @@ impl Cluster {
                 break;
             }
         }
-
-        for tx in &ctrl_txs {
-            let _ = tx.send(Control::Stop).await;
-        }
-        for task in tasks {
-            let _ = task.await;
-        }
+        nodes.stop_and_join();
 
         ClusterReport {
             power_nodes: selector.select(&current),
@@ -289,18 +262,16 @@ mod tests {
         b.build()
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn in_memory_cluster_matches_oracle_ranking() {
+    #[test]
+    fn in_memory_cluster_matches_oracle_ranking() {
         let n = 16;
         let m = authority(n);
         let params = Params::for_network(n);
-        let report = Cluster::in_memory(NetConfig::fast_local().with_seed(1))
-            .run(&m, &params)
-            .await;
+        let report = Cluster::in_memory(NetConfig::fast_local().with_seed(1)).run(&m, &params);
         assert!(report.converged, "cluster must converge");
         assert!(report.pushes_sent > 0);
         assert_eq!(report.auth_failures, 0);
-        // The async result agrees with the centralized oracle on ranking
+        // The threaded result agrees with the centralized oracle on ranking
         // and approximately on values. The cluster re-selects power nodes
         // adaptively, so compare against the matching adaptive oracle run
         // loosely: check the authority is ranked first and the RMS error
@@ -311,8 +282,8 @@ mod tests {
         assert!(err < 0.6, "rms vs uniform-prior oracle {err}");
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn lossy_cluster_still_converges() {
+    #[test]
+    fn lossy_cluster_still_converges() {
         let n = 12;
         let m = authority(n);
         // Loss puts a noise floor under the per-cycle gossip error (each
@@ -322,34 +293,29 @@ mod tests {
         // survive untouched is the *ranking*.
         let params = Params::for_network(n).with_delta(0.1);
         let report = Cluster::in_memory(NetConfig::fast_local().with_seed(2).with_loss_rate(0.05))
-            .run(&m, &params)
-            .await;
+            .run(&m, &params);
         assert!(report.converged);
         assert_eq!(report.vector.ranking()[0], NodeId(0));
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn udp_cluster_smoke() {
+    #[test]
+    fn udp_cluster_smoke() {
         let n = 8;
         let m = authority(n);
         let params = Params::for_network(n);
-        let report = Cluster::udp(NetConfig::fast_local().with_seed(3))
-            .run(&m, &params)
-            .await;
+        let report = Cluster::udp(NetConfig::fast_local().with_seed(3)).run(&m, &params);
         assert!(report.converged);
         assert_eq!(report.vector.ranking()[0], NodeId(0));
     }
 
-    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn stale_pushes_are_counted_not_merged() {
+    #[test]
+    fn stale_pushes_are_counted_not_merged() {
         // Loss + tiny network forces cycle boundaries where in-flight
         // pushes straggle; the counter proves the guard is exercised.
         let n = 8;
         let m = authority(n);
         let params = Params::for_network(n).with_delta(1e-4);
-        let report = Cluster::in_memory(NetConfig::fast_local().with_seed(4))
-            .run(&m, &params)
-            .await;
+        let report = Cluster::in_memory(NetConfig::fast_local().with_seed(4)).run(&m, &params);
         // Not asserting > 0 (scheduling-dependent), but the run must still
         // be healthy and authenticated.
         assert!(report.converged);

@@ -1,10 +1,10 @@
 //! Transport abstraction and the in-process channel transport.
 
+use crate::node::Inbound;
 use bytes::Bytes;
-use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-use tokio::sync::mpsc;
 
 /// A per-node handle for sending datagrams to other nodes.
 ///
@@ -12,8 +12,26 @@ use tokio::sync::mpsc;
 /// full queues, UDP) — exactly the failure mode push-sum is designed to
 /// tolerate.
 pub trait Transport: Send + Sync + 'static {
-    /// Send `data` to node `to`. Never blocks indefinitely.
-    fn send(&self, to: u32, data: Bytes) -> impl Future<Output = ()> + Send;
+    /// Send `data` to node `to`. Never blocks.
+    fn send(&self, to: u32, data: Bytes);
+}
+
+/// One node's bounded inbox: the transport delivers datagrams into `tx`
+/// (dropping them when it is full), the driver sends its control messages
+/// through a clone of the same `tx`, and the node thread owns `rx`.
+pub struct Inbox {
+    /// Sending side; clone it for every producer.
+    pub tx: SyncSender<Inbound>,
+    /// Receiving side, moved into the node thread.
+    pub rx: Receiver<Inbound>,
+}
+
+impl Inbox {
+    /// An inbox holding at most `cap` undelivered messages.
+    pub fn new(cap: usize) -> Self {
+        let (tx, rx) = sync_channel(cap.max(1));
+        Inbox { tx, rx }
+    }
 }
 
 /// Counters shared by the in-memory network.
@@ -25,11 +43,11 @@ pub struct NetCounters {
     pub dropped: AtomicU64,
 }
 
-/// An in-process network: one bounded mpsc queue per node, with optional
+/// An in-process network: one bounded queue per node, with optional
 /// i.i.d. loss injection (deterministic per message via a counter hash, so
-/// runs are reproducible even under tokio's scheduling nondeterminism).
+/// the loss pattern is reproducible even though thread scheduling is not).
 pub struct InMemoryNetwork {
-    senders: Vec<mpsc::Sender<Bytes>>,
+    senders: Vec<SyncSender<Inbound>>,
     loss_rate: f64,
     loss_seq: AtomicU64,
     loss_seed: u64,
@@ -45,29 +63,18 @@ fn mix(mut x: u64) -> u64 {
 
 impl InMemoryNetwork {
     /// Build a network of `n` endpoints with queue capacity `cap`; returns
-    /// the shared network plus each node's receiver.
-    pub fn new(
-        n: usize,
-        cap: usize,
-        loss_rate: f64,
-        loss_seed: u64,
-    ) -> (Arc<Self>, Vec<mpsc::Receiver<Bytes>>) {
+    /// the shared network plus each node's inbox.
+    pub fn new(n: usize, cap: usize, loss_rate: f64, loss_seed: u64) -> (Arc<Self>, Vec<Inbox>) {
         assert!((0.0..=1.0).contains(&loss_rate), "loss rate in [0,1]");
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = mpsc::channel(cap.max(1));
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        let inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::new(cap)).collect();
         let net = Arc::new(InMemoryNetwork {
-            senders,
+            senders: inboxes.iter().map(|inbox| inbox.tx.clone()).collect(),
             loss_rate,
             loss_seq: AtomicU64::new(0),
             loss_seed,
             counters: Arc::new(NetCounters::default()),
         });
-        (net, receivers)
+        (net, inboxes)
     }
 
     /// Shared counters.
@@ -99,15 +106,19 @@ impl InMemoryHandle {
 }
 
 impl Transport for InMemoryHandle {
-    async fn send(&self, to: u32, data: Bytes) {
+    fn send(&self, to: u32, data: Bytes) {
         self.net.counters.sent.fetch_add(1, Ordering::Relaxed);
         if self.net.should_drop() {
             self.net.counters.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        // try_send: a full queue behaves like a drop (backpressure loss),
-        // which is the honest model for gossip over a congested link.
-        if self.net.senders[to as usize].try_send(data).is_err() {
+        // try_send: a full queue (or a peer that has already left) behaves
+        // like a drop, which is the honest model for gossip over a
+        // congested link.
+        if self.net.senders[to as usize]
+            .try_send(Inbound::Datagram(data))
+            .is_err()
+        {
             self.net.counters.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -117,40 +128,47 @@ impl Transport for InMemoryHandle {
 mod tests {
     use super::*;
 
-    #[tokio::test]
-    async fn messages_arrive_at_the_right_node() {
-        let (net, mut rxs) = InMemoryNetwork::new(3, 16, 0.0, 0);
-        let h = InMemoryHandle::new(net);
-        h.send(1, Bytes::from_static(b"to-1")).await;
-        h.send(2, Bytes::from_static(b"to-2")).await;
-        assert_eq!(rxs[1].recv().await.unwrap(), Bytes::from_static(b"to-1"));
-        assert_eq!(rxs[2].recv().await.unwrap(), Bytes::from_static(b"to-2"));
-        assert!(rxs[0].try_recv().is_err());
+    fn datagram(inbox: &Inbox) -> Option<Bytes> {
+        match inbox.rx.try_recv() {
+            Ok(Inbound::Datagram(data)) => Some(data),
+            _ => None,
+        }
     }
 
-    #[tokio::test]
-    async fn loss_rate_drops_messages() {
-        let (net, mut rxs) = InMemoryNetwork::new(2, 10_000, 0.5, 42);
+    #[test]
+    fn messages_arrive_at_the_right_node() {
+        let (net, inboxes) = InMemoryNetwork::new(3, 16, 0.0, 0);
+        let h = InMemoryHandle::new(net);
+        h.send(1, Bytes::from_static(b"to-1"));
+        h.send(2, Bytes::from_static(b"to-2"));
+        assert_eq!(datagram(&inboxes[1]).unwrap(), Bytes::from_static(b"to-1"));
+        assert_eq!(datagram(&inboxes[2]).unwrap(), Bytes::from_static(b"to-2"));
+        assert!(datagram(&inboxes[0]).is_none());
+    }
+
+    #[test]
+    fn loss_rate_drops_messages() {
+        let (net, inboxes) = InMemoryNetwork::new(2, 10_000, 0.5, 42);
         let h = InMemoryHandle::new(Arc::clone(&net));
         for _ in 0..2_000 {
-            h.send(1, Bytes::from_static(b"x")).await;
+            h.send(1, Bytes::from_static(b"x"));
         }
         let counters = net.counters();
         let dropped = counters.dropped.load(Ordering::Relaxed);
         assert!((800..1200).contains(&dropped), "dropped {dropped}");
         let mut received = 0;
-        while rxs[1].try_recv().is_ok() {
+        while datagram(&inboxes[1]).is_some() {
             received += 1;
         }
         assert_eq!(received as u64 + dropped, 2_000);
     }
 
-    #[tokio::test]
-    async fn full_queue_counts_as_drop() {
-        let (net, _rxs) = InMemoryNetwork::new(1, 2, 0.0, 0);
+    #[test]
+    fn full_queue_counts_as_drop() {
+        let (net, _inboxes) = InMemoryNetwork::new(1, 2, 0.0, 0);
         let h = InMemoryHandle::new(Arc::clone(&net));
         for _ in 0..5 {
-            h.send(0, Bytes::from_static(b"x")).await;
+            h.send(0, Bytes::from_static(b"x"));
         }
         assert_eq!(net.counters().dropped.load(Ordering::Relaxed), 3);
     }

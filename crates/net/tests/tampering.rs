@@ -3,16 +3,21 @@
 //! every tampered message, and the protocol must still converge on the
 //! surviving genuine traffic.
 
+mod common;
+
 use bytes::Bytes;
+use common::authority;
 use gossiptrust_core::prelude::*;
 use gossiptrust_crypto::Pkg;
 use gossiptrust_net::cluster::{Cluster, NetConfig};
-use gossiptrust_net::node::{run_node, ClusterCounters, Control, NodeConfig};
+use gossiptrust_net::node::{
+    run_node, trust_row, ClusterCounters, Inbound, NodeConfig, NodeCore, NodeThreads,
+};
 use gossiptrust_net::transport::{InMemoryHandle, InMemoryNetwork, Transport};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
-use tokio::sync::{mpsc, oneshot};
 
 /// Flips one byte in every `period`-th message.
 struct TamperingTransport {
@@ -22,116 +27,86 @@ struct TamperingTransport {
 }
 
 impl Transport for TamperingTransport {
-    async fn send(&self, to: u32, data: Bytes) {
+    fn send(&self, to: u32, data: Bytes) {
         let seq = self.counter.fetch_add(1, Ordering::Relaxed);
         if seq % self.period == 0 && data.len() > 20 {
             let mut corrupted = data.to_vec();
             corrupted[12] ^= 0xFF; // flip a payload byte past the header
-            self.inner.send(to, Bytes::from(corrupted)).await;
+            self.inner.send(to, Bytes::from(corrupted));
         } else {
-            self.inner.send(to, data).await;
+            self.inner.send(to, data);
         }
     }
 }
 
-fn authority(n: usize) -> TrustMatrix {
-    let mut b = TrustMatrixBuilder::new(n);
-    for i in 1..n {
-        b.record(NodeId::from_index(i), NodeId(0), 4.0);
-        b.record(NodeId::from_index(i), NodeId::from_index((i + 1) % n), 1.0);
-        b.record(NodeId(0), NodeId::from_index(i), 1.0);
-    }
-    b.build()
-}
-
-/// Drive a hand-built cluster of node actors over the tampering transport
-/// for a fixed number of cycles and verify that (a) corrupted pushes are
-/// rejected by signature verification, (b) genuine traffic still reaches
+/// Drive a hand-built cluster of node threads over the tampering transport
+/// for one cycle and verify that (a) corrupted pushes are rejected by
+/// signature verification, (b) genuine traffic still reaches
 /// near-consensus.
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn tampered_pushes_are_rejected_and_gossip_survives() {
+#[test]
+fn tampered_pushes_are_rejected_and_gossip_survives() {
     let n = 10usize;
     let matrix = authority(n);
-    let (net, receivers) = InMemoryNetwork::new(n, 1024, 0.0, 0);
+    let (net, inboxes) = InMemoryNetwork::new(n, 1024, 0.0, 0);
     let tamper_counter = Arc::new(AtomicU64::new(0));
     let pkg = Pkg::from_seed(0xBEEF);
     let counters = Arc::new(ClusterCounters::default());
-    let (converged_tx, mut converged_rx) = mpsc::channel::<(u32, u32)>(n * 2);
+    let (converged_tx, converged_rx) = mpsc::channel::<(u32, u32)>();
 
-    let mut ctrl_txs = Vec::new();
-    let mut tasks = Vec::new();
-    for (i, net_rx) in receivers.into_iter().enumerate() {
-        let id = NodeId::from_index(i);
-        let (cols, vals) = matrix.row(id);
-        let config = NodeConfig {
-            id: i as u32,
-            n,
-            alpha: 0.15,
-            epsilon: 1e-4,
-            patience: 2,
-            min_ticks: 4,
-            max_ticks: 4_000,
-            tick: Duration::from_millis(2),
-            row: cols.iter().zip(vals).map(|(&c, &v)| (c, v)).collect(),
-            key: pkg.issue(i as u32),
-            verifier: pkg.verifier(),
-            seed: 99,
-        };
-        let transport = TamperingTransport {
+    let cores = (0..n)
+        .map(|i| {
+            let config = NodeConfig {
+                id: i as u32,
+                n,
+                alpha: 0.15,
+                epsilon: 1e-4,
+                patience: 2,
+                min_ticks: 4,
+                max_ticks: 4_000,
+                tick: Duration::from_millis(2),
+                row: trust_row(&matrix, i),
+                key: pkg.issue(i as u32),
+                verifier: pkg.verifier(),
+                seed: 99,
+            };
+            NodeCore::new(config, Arc::clone(&counters))
+        })
+        .collect();
+    let transports = (0..n)
+        .map(|_| TamperingTransport {
             inner: InMemoryHandle::new(Arc::clone(&net)),
             counter: Arc::clone(&tamper_counter),
             period: 10, // corrupt every 10th push (~10% MITM rate)
-        };
-        let (ctrl_tx, ctrl_rx) = mpsc::channel::<Control>(8);
-        ctrl_txs.push(ctrl_tx);
-        tasks.push(tokio::spawn(run_node(
-            config,
-            transport,
-            net_rx,
-            ctrl_rx,
-            converged_tx.clone(),
-            Arc::clone(&counters),
-        )));
-    }
-    drop(converged_tx);
+        })
+        .collect();
+    let nodes = NodeThreads::start(cores, transports, inboxes, move |core, transport, inbox| {
+        run_node(core, transport, inbox, converged_tx.clone())
+    });
 
     // One cycle with a uniform prior.
     let prior = Arc::new(vec![1.0 / n as f64; n]);
-    for tx in &ctrl_txs {
-        tx.send(Control::StartCycle { cycle: 1, prior: Arc::clone(&prior) })
-            .await
-            .unwrap();
-    }
+    nodes.broadcast(|| Inbound::StartCycle { cycle: 1, prior: Arc::clone(&prior) });
     let mut reported = vec![false; n];
     let mut count = 0;
-    let _ = tokio::time::timeout(Duration::from_secs(60), async {
-        while count < n {
-            match converged_rx.recv().await {
-                Some((node, 1)) if !reported[node as usize] => {
-                    reported[node as usize] = true;
-                    count += 1;
-                }
-                Some(_) => {}
-                None => break,
+    while count < n {
+        match converged_rx.recv_timeout(Duration::from_secs(60)) {
+            Ok((node, 1)) if !reported[node as usize] => {
+                reported[node as usize] = true;
+                count += 1;
             }
+            Ok(_) => {}
+            Err(_) => break,
         }
-    })
-    .await;
+    }
     assert_eq!(count, n, "all nodes should converge despite tampering");
 
     // Collect estimates and stop.
-    let mut estimates = Vec::new();
-    for tx in &ctrl_txs {
-        let (reply_tx, reply_rx) = oneshot::channel();
-        tx.send(Control::EndCycle { reply: reply_tx }).await.unwrap();
-        estimates.push(reply_rx.await.unwrap());
-    }
-    for tx in &ctrl_txs {
-        let _ = tx.send(Control::Stop).await;
-    }
-    for t in tasks {
-        let _ = t.await;
-    }
+    let (reply_tx, reply_rx) = mpsc::channel();
+    nodes.broadcast(|| Inbound::EndCycle { reply: reply_tx.clone() });
+    drop(reply_tx);
+    let estimates: Vec<ReputationVector> = reply_rx.iter().collect();
+    assert_eq!(estimates.len(), n);
+    nodes.stop_and_join();
 
     // Every corrupted push must have been rejected.
     let auth_failures = counters.auth_failures.load(Ordering::Relaxed);
@@ -147,7 +122,7 @@ async fn tampered_pushes_are_rejected_and_gossip_survives() {
     matrix.transpose_mul(&vec![1.0 / n as f64; n], &mut exact).unwrap();
     Prior::uniform(n).mix_into(&mut exact, 0.15);
     let mean: Vec<f64> = (0..n)
-        .map(|j| estimates.iter().map(|e| e[j]).sum::<f64>() / n as f64)
+        .map(|j| estimates.iter().map(|e| e.values()[j]).sum::<f64>() / n as f64)
         .collect();
     let mean_rel: f64 = (0..n)
         .map(|j| (mean[j] - exact[j]).abs() / exact[j].max(1e-12))
@@ -158,13 +133,12 @@ async fn tampered_pushes_are_rejected_and_gossip_survives() {
 
 /// The standard cluster over a clean transport counts zero auth failures —
 /// the negative control for the test above.
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-async fn clean_transport_has_no_auth_failures() {
+#[test]
+fn clean_transport_has_no_auth_failures() {
     let n = 8;
     let matrix = authority(n);
     let report = Cluster::in_memory(NetConfig::fast_local().with_seed(123))
-        .run(&matrix, &Params::for_network(n))
-        .await;
+        .run(&matrix, &Params::for_network(n));
     assert!(report.converged);
     assert_eq!(report.auth_failures, 0);
 }

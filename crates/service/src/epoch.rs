@@ -201,10 +201,7 @@ impl EpochManager {
             }
 
             let fold_span = span.child("fold");
-            // Shard-parallel fold (bit-identical to sequential): reuse the
-            // engine's resolved thread count so one knob sizes both the
-            // aggregation pool and the fold sweep.
-            let matrix = Arc::new(self.log.fold_parallel(self.engine_config.threads));
+            let matrix = Arc::new(self.log.fold());
             let start = self.cell.load().vector.clone();
             self.obs.epoch_fold_ns.record(fold_span.elapsed_ns());
             drop(fold_span);

@@ -37,11 +37,6 @@ struct Shard {
     rows: Vec<LocalTrust>,
 }
 
-/// Smallest network size for which [`FeedbackLog::fold_parallel`] stripes
-/// the clone sweep over scoped workers. Below this the sweep itself is
-/// cheaper than the per-fold thread spawns it would be spread over.
-const FOLD_STRIPE_MIN_N: usize = 256;
-
 /// Sharded, append-only accumulation of local-trust rows for `n` peers.
 pub struct FeedbackLog {
     n: usize,
@@ -157,66 +152,12 @@ impl FeedbackLog {
         TrustMatrix::from_rows(&rows)
     }
 
-    /// [`FeedbackLog::fold`] with the shard clone sweep spread over
-    /// `threads` scoped workers.
-    ///
-    /// What the parallelism buys is that a large log's clone sweep (the
-    /// only part that holds ingest locks) finishes in `shards / threads`
-    /// lock windows instead of `shards`. Below [`FOLD_STRIPE_MIN_N`] rows
-    /// the whole sweep costs less than spawning and scheduling the scoped
-    /// workers (a tight-deadline epoch on a small service would pay pure
-    /// overhead), so small logs always take the sequential sweep. The
-    /// gossip crate's `WorkerPool` is not reused here on purpose: its task
-    /// protocol is specialized to the slabs of the aggregation kernel,
-    /// and threading a second protocol through it would couple the ingest
-    /// path to the engine's internals.
-    ///
-    /// The result is bit-identical to [`FeedbackLog::fold`]: workers only
-    /// clone shards (no float work), and every row lands in the same slot
-    /// the sequential sweep would put it in. `threads <= 1` falls back to
-    /// the sequential sweep.
-    pub fn fold_parallel(&self, threads: usize) -> TrustMatrix {
-        let watermark = self.events.load(Ordering::Relaxed);
-        let rows = if threads > 1 && self.shards.len() > 1 && self.n >= FOLD_STRIPE_MIN_N {
-            self.raw_rows_striped(threads)
-        } else {
-            self.raw_rows()
-        };
-        self.folded_events.fetch_max(watermark, Ordering::Relaxed);
-        TrustMatrix::from_rows(&rows)
-    }
-
-    /// The parallel clone sweep behind [`FeedbackLog::fold_parallel`]:
-    /// worker `w` clones shards `w, w + workers, ...`; the main thread
-    /// scatters each cloned shard into its strided row slots as results
-    /// arrive, overlapping scatter with the remaining clones.
-    fn raw_rows_striped(&self, threads: usize) -> Vec<LocalTrust> {
-        let shards = self.shards.len();
-        let workers = threads.min(shards).max(1);
-        let mut rows = vec![LocalTrust::new(); self.n];
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    for s in (w..shards).step_by(workers) {
-                        let guard = self.shards[s].lock().unwrap_or_else(|e| e.into_inner());
-                        let cloned = guard.rows.clone();
-                        drop(guard);
-                        if tx.send((s, cloned)).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            while let Ok((s, cloned)) = rx.recv() {
-                for (slot, row) in cloned.into_iter().enumerate() {
-                    rows[s + slot * shards] = row;
-                }
-            }
-        });
-        rows
+    /// [`FeedbackLog::fold`] under the signature `benchmark/src/twin.rs`
+    /// calls; the argument sized a striped clone sweep that is gone (the
+    /// stage is 0.1–0.5 % of an epoch). Delete with the benchmark refresh of
+    /// ROADMAP item 1a.
+    pub fn fold_parallel(&self, _threads: usize) -> TrustMatrix {
+        self.fold()
     }
 
     /// Clone out the raw (unnormalized) local-trust rows, shard lock by
@@ -361,10 +302,6 @@ mod tests {
 
     #[test]
     fn fold_parallel_is_bit_identical_to_fold() {
-        // 300 clears FOLD_STRIPE_MIN_N, so the public entry point takes
-        // the striped sweep there; the smaller sizes exercise its
-        // sequential fallback AND (below) the striped sweep directly, so
-        // the gate can never hide a striping bug at odd shard counts.
         for (n, shards) in [(1, 1), (7, 3), (64, 8), (100, 16), (300, 16)] {
             let log = FeedbackLog::new(n, shards);
             for i in 0..n * 3 {
@@ -383,15 +320,6 @@ mod tests {
                     .zip(parallel.iter().flatten())
                     .all(|(a, b)| a.to_bits() == b.to_bits());
                 assert!(same, "n = {n}, shards = {shards}, threads = {threads}");
-                if threads > 1 && shards > 1 {
-                    let striped = TrustMatrix::from_rows(&log.raw_rows_striped(threads)).to_dense();
-                    let same = sequential
-                        .iter()
-                        .flatten()
-                        .zip(striped.iter().flatten())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(same, "striped: n = {n}, shards = {shards}, threads = {threads}");
-                }
             }
         }
     }

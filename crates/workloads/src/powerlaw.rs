@@ -203,6 +203,10 @@ pub struct DegreeSequence {
 impl DegreeSequence {
     /// Build a degree distribution over `1..=d_max` with mean ≈ `d_avg`.
     ///
+    /// A nonincreasing law over `1..=d_max` cannot have a mean above the
+    /// uniform one's, `(d_max + 1) / 2`; for a larger `d_avg` the fit
+    /// saturates there (exponent 0).
+    ///
     /// # Panics
     /// Panics unless `1 ≤ d_avg < d_max`.
     pub fn new(d_avg: usize, d_max: usize) -> Self {

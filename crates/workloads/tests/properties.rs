@@ -9,7 +9,7 @@ use gossiptrust_workloads::queries::QueryWorkload;
 use gossiptrust_workloads::saroiu::SaroiuFiles;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -56,12 +56,15 @@ proptest! {
     }
 
     /// The fitted degree distribution hits its target mean within 10% for
-    /// any sane (d_avg, d_max) pair.
+    /// any (d_avg, d_max) pair a nonincreasing law can reach: over
+    /// `1..=d_max` no such law has a mean above the uniform one's,
+    /// `(d_max + 1) / 2`.
     #[test]
     fn degree_sequence_mean(d_avg in 2usize..50, extra in 10usize..300) {
         let d_max = d_avg + extra;
+        prop_assume!(2 * d_avg <= d_max + 1);
         let d = DegreeSequence::new(d_avg, d_max);
-        prop_assert!((d.mean() - d_avg as f64).abs() / d_avg as f64 < 0.1,
+        prop_assert!((d.mean() - d_avg as f64).abs() / (d_avg as f64) < 0.1,
             "fit mean {} target {}", d.mean(), d_avg);
     }
 
@@ -149,4 +152,58 @@ proptest! {
             prop_assert!((q.file as usize) < files);
         }
     }
+}
+
+// Seeded twins of the two contract-bearing properties above (the sampled
+// laws stay inside their bounds; the degree fit hits its mean): plain
+// `#[test]`s over fixed-seed parameter draws from the same ranges, so they
+// execute where `proptest!` expands to nothing.
+
+#[test]
+fn sample_bounds_seeded() {
+    let mut draw = StdRng::seed_from_u64(0xB0B5);
+    for case in 0..48 {
+        let mut rng = StdRng::seed_from_u64(case);
+
+        let xmin = draw.random_range(0.5..50.0);
+        let xmax = xmin + draw.random_range(1.0..1000.0);
+        let p = BoundedPareto::new(xmin, xmax, draw.random_range(0.2..3.0));
+        for _ in 0..300 {
+            let x = p.sample(&mut rng);
+            assert!(x >= xmin - 1e-9 && x <= xmax + 1e-9, "pareto [{xmin}, {xmax}]: x = {x}");
+        }
+
+        let n = draw.random_range(1usize..300);
+        let z = Zipf::new(n, draw.random_range(0.0..3.0));
+        for _ in 0..200 {
+            let r = z.sample(&mut rng);
+            assert!((1..=n).contains(&r), "zipf over 1..={n}: r = {r}");
+        }
+    }
+}
+
+#[test]
+fn degree_sequence_mean_seeded() {
+    let mut draw = StdRng::seed_from_u64(0xDE6);
+    // The corners of the property's domain, then seeded draws from inside.
+    let corners = [(2, 12), (2, 301), (49, 97), (49, 348)];
+    let drawn: Vec<(usize, usize)> = (0..200)
+        .map(|_| {
+            let d_avg = draw.random_range(2usize..50);
+            (d_avg, d_avg + draw.random_range(10usize..300))
+        })
+        .filter(|&(d_avg, d_max)| 2 * d_avg <= d_max + 1)
+        .collect();
+    assert!(drawn.len() > 150, "the reachable pairs are most of the range");
+    for (d_avg, d_max) in corners.into_iter().chain(drawn) {
+        let d = DegreeSequence::new(d_avg, d_max);
+        assert!(
+            (d.mean() - d_avg as f64).abs() / (d_avg as f64) < 0.1,
+            "d_max {d_max}: fit mean {} target {d_avg}",
+            d.mean()
+        );
+    }
+    // Past the reachable means the fit saturates at the uniform law.
+    let d = DegreeSequence::new(49, 59);
+    assert!(d.exponent() < 1e-9 && (d.mean() - 30.0).abs() < 1e-6, "{d:?}");
 }

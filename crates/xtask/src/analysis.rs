@@ -1,9 +1,9 @@
-//! Workspace-level rule families: taint reachability, panic-path, and
-//! async-discipline. These run on the call graph ([`crate::graph`]) built
+//! Workspace-level rule families: taint reachability and panic-path.
+//! These run on the call graph ([`crate::graph`]) built
 //! from the item parser, complementing the per-file token rules in
 //! [`crate::rules`].
 //!
-//! All three families are configured from the `[analysis]` section of
+//! Both families are configured from the `[analysis]` section of
 //! `lint.toml` (see [`crate::config::AnalysisConfig`]); when the section
 //! is absent they are no-ops, so scratch workspaces and fixtures opt in
 //! explicitly.
@@ -251,132 +251,6 @@ pub fn panic_path(
     }
 }
 
-/// Async-discipline: inside `async fn`s under the configured paths, flag
-/// blocking `thread::sleep`, blocking `std::fs` I/O, and a sync
-/// `Mutex` guard (`.lock()` not immediately `.await`ed) alive across a
-/// later `.await` in the same enclosing block.
-pub fn async_discipline(
-    tokens: &[Vec<Token>],
-    graph: &Graph,
-    cfg: &AnalysisConfig,
-    out: &mut Vec<Violation>,
-) {
-    if cfg.async_paths.is_empty() {
-        return;
-    }
-    for n in &graph.nodes {
-        if !n.is_async || !cfg.async_paths.iter().any(|p| n.rel.starts_with(p.as_str())) {
-            continue;
-        }
-        let toks = &tokens[n.file];
-        let hi = n.body.1.min(toks.len().saturating_sub(1));
-        // Enclosing-block close index per token, from a single brace pass.
-        let mut close_of = vec![hi; hi + 1 - n.body.0];
-        {
-            let mut stack: Vec<usize> = Vec::new();
-            // First pass: map each open brace to its close.
-            let mut pairs: Vec<(usize, usize)> = Vec::new();
-            for (i, tok) in toks.iter().enumerate().take(hi + 1).skip(n.body.0) {
-                if tok.is_punct("{") {
-                    stack.push(i);
-                } else if tok.is_punct("}") {
-                    if let Some(open) = stack.pop() {
-                        pairs.push((open, i));
-                    }
-                }
-            }
-            // Second pass: innermost enclosing close for every token.
-            let mut open_close: std::collections::HashMap<usize, usize> =
-                pairs.into_iter().collect();
-            let mut current: Vec<usize> = Vec::new();
-            for i in n.body.0..=hi {
-                if toks[i].is_punct("{") {
-                    if let Some(&c) = open_close.get(&i) {
-                        current.push(c);
-                    }
-                } else if toks[i].is_punct("}") && current.last() == Some(&i) {
-                    current.pop();
-                }
-                close_of[i - n.body.0] = current.last().copied().unwrap_or(hi);
-            }
-            open_close.clear();
-        }
-        for i in n.body.0..=hi {
-            let t = &toks[i];
-            if t.kind != TokenKind::Ident {
-                continue;
-            }
-            let next_is = |k: usize, p: &str| toks.get(i + k).is_some_and(|n| n.is_punct(p));
-            let next_ident = |k: usize, id: &str| toks.get(i + k).is_some_and(|n| n.is_ident(id));
-            // thread::sleep — blocking the executor thread.
-            if t.text == "thread" && next_is(1, "::") && next_ident(2, "sleep") {
-                out.push(Violation {
-                    rule: "async-discipline",
-                    path: n.rel.clone(),
-                    line: t.line,
-                    message: format!(
-                        "`thread::sleep` in async fn `{}` blocks the executor — use \
-                         `tokio::time::sleep`",
-                        n.label()
-                    ),
-                });
-            }
-            // std::fs — blocking file I/O on the executor.
-            if t.text == "std" && next_is(1, "::") && next_ident(2, "fs") {
-                out.push(Violation {
-                    rule: "async-discipline",
-                    path: n.rel.clone(),
-                    line: t.line,
-                    message: format!(
-                        "blocking `std::fs` I/O in async fn `{}` — use `tokio::fs` or \
-                         `spawn_blocking`",
-                        n.label()
-                    ),
-                });
-            }
-            // .lock() guard held across a later .await.
-            if t.text == "lock" && i > 0 && toks[i - 1].is_punct(".") && next_is(1, "(") {
-                // Find the close paren of the lock call.
-                let mut depth = 0i32;
-                let mut k = i + 1;
-                while k <= hi {
-                    if toks[k].is_punct("(") {
-                        depth += 1;
-                    } else if toks[k].is_punct(")") {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    k += 1;
-                }
-                // `.lock().await` is an async mutex: fine.
-                if toks.get(k + 1).is_some_and(|n| n.is_punct("."))
-                    && toks.get(k + 2).is_some_and(|n| n.is_ident("await"))
-                {
-                    continue;
-                }
-                let block_close = close_of[i - n.body.0];
-                let held_across = (k..=block_close.min(hi))
-                    .any(|j| toks[j].is_ident("await") && j > 0 && toks[j - 1].is_punct("."));
-                if held_across {
-                    out.push(Violation {
-                        rule: "async-discipline",
-                        path: n.rel.clone(),
-                        line: t.line,
-                        message: format!(
-                            "sync mutex guard from `.lock()` in async fn `{}` may be held \
-                             across an `.await` in the same block — scope the guard or use \
-                             `tokio::sync::Mutex`",
-                            n.label()
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,7 +270,6 @@ mod tests {
         let mut out = Vec::new();
         taint(&parsed, &tokens, &graph, cfg, &mut out);
         panic_path(&tokens, &graph, cfg, &mut out);
-        async_discipline(&tokens, &graph, cfg, &mut out);
         out
     }
 
@@ -405,7 +278,6 @@ mod tests {
             taint_sinks: vec!["step_slab".into()],
             panic_roots: vec!["serve".into()],
             panic_scan_paths: vec!["crates/a/src".into()],
-            async_paths: vec!["crates/a/src".into()],
         }
     }
 
@@ -498,29 +370,9 @@ mod tests {
     }
 
     #[test]
-    fn async_discipline_flags_sleep_and_guard_across_await() {
-        let v = analyze(
-            &[(
-                "crates/a/src/lib.rs",
-                "pub async fn a() { thread::sleep(d); }\n\
-                 pub async fn b(m: &Mutex<u32>) { let g = m.lock().unwrap(); io().await; }\n\
-                 pub async fn c(m: &TokioMutex<u32>) { let g = m.lock().await; }\n\
-                 pub async fn d(m: &Mutex<u32>) { { let g = m.lock().unwrap(); } io().await; }",
-            )],
-            &cfg(),
-        );
-        let a: Vec<&Violation> = v.iter().filter(|v| v.rule == "async-discipline").collect();
-        // a: sleep; b: guard across await. c (async mutex) and d (scoped
-        // guard) are clean.
-        assert_eq!(a.len(), 2, "{a:?}");
-        assert!(a.iter().any(|v| v.message.contains("thread::sleep")));
-        assert!(a.iter().any(|v| v.message.contains("guard")));
-    }
-
-    #[test]
     fn analysis_is_noop_without_config() {
         let v = analyze(
-            &[("crates/a/src/lib.rs", "pub async fn a() { thread::sleep(d); x().unwrap(); }")],
+            &[("crates/a/src/lib.rs", "pub fn a() { let _ = Instant::now(); x().unwrap(); }")],
             &AnalysisConfig::default(),
         );
         assert!(v.is_empty(), "{v:?}");

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! The `[analysis]` section configures the workspace-level rule families
-//! (taint sinks, panic roots and scan scope, async scope); when absent,
+//! (taint sinks, panic roots and scan scope); when absent,
 //! those rules are no-ops:
 //!
 //! ```toml
@@ -21,7 +21,6 @@
 //! taint_sinks = ["step_slab", "par_step"]
 //! panic_roots = ["serve_on_with", "Wal::open"]
 //! panic_scan_paths = ["crates/service/src"]
-//! async_paths = ["crates/service/src", "crates/net/src"]
 //! ```
 //!
 //! The parser is a deliberate subset of TOML (`[[allow]]` tables and one
@@ -56,8 +55,6 @@ pub struct AnalysisConfig {
     pub panic_roots: Vec<String>,
     /// Path prefixes whose functions are scanned for panic sites.
     pub panic_scan_paths: Vec<String>,
-    /// Path prefixes whose `async fn`s are checked for blocking calls.
-    pub async_paths: Vec<String>,
 }
 
 /// The parsed waiver file.
@@ -202,7 +199,6 @@ pub fn parse(source: &str) -> Result<LintConfig, String> {
                     "taint_sinks" => analysis.taint_sinks = arr,
                     "panic_roots" => analysis.panic_roots = arr,
                     "panic_scan_paths" => analysis.panic_scan_paths = arr,
-                    "async_paths" => analysis.async_paths = arr,
                     other => {
                         return Err(format!(
                             "lint.toml:{lineno}: unknown [analysis] key `{other}`"
@@ -296,13 +292,12 @@ mod tests {
     fn parses_the_analysis_section() {
         let cfg = parse(
             "[analysis]\ntaint_sinks = [\"step_slab\", \"par_step\"]\n\
-             panic_roots = [\"Wal::open\"]\npanic_scan_paths = [\"crates/service/src\"]\n\
-             async_paths = []\n",
+             panic_roots = [\"Wal::open\"]\npanic_scan_paths = []\n",
         )
         .unwrap();
         assert_eq!(cfg.analysis.taint_sinks, vec!["step_slab", "par_step"]);
         assert_eq!(cfg.analysis.panic_roots, vec!["Wal::open"]);
-        assert!(cfg.analysis.async_paths.is_empty());
+        assert!(cfg.analysis.panic_scan_paths.is_empty());
         let err = parse("[analysis]\nbogus = [\"x\"]\n").unwrap_err();
         assert!(err.contains("unknown [analysis] key"), "{err}");
         let err = parse("[analysis]\ntaint_sinks = \"x\"\n").unwrap_err();

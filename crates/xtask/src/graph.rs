@@ -52,8 +52,6 @@ pub struct FnNode {
     pub impl_type: Option<String>,
     /// Function name.
     pub name: String,
-    /// Declared `async`.
-    pub is_async: bool,
     /// Behind a `#[cfg(feature=…)]`-style gate.
     pub cfg_gated: bool,
     /// 1-based line of the `fn` keyword.
@@ -190,7 +188,6 @@ impl Graph {
                     module,
                     impl_type: item.impl_type.clone(),
                     name: item.name.clone(),
-                    is_async: item.is_async,
                     cfg_gated: item.cfg_gated,
                     line: item.line,
                     body: item.body,

@@ -11,8 +11,7 @@
 //!   the obs-only clock surface.
 //! - **Workspace call-graph rules** ([`analysis`] over [`parser`] +
 //!   [`graph`]): taint reachability into the deterministic kernel entry
-//!   points, panic-path freedom for request-serving code, and async
-//!   discipline in the tokio front-end.
+//!   points, and panic-path freedom for request-serving code.
 //!
 //! Findings are reported in a human format and, on request, as SARIF
 //! 2.1 ([`sarif`]) for CI annotation. A content-hash cache ([`cache`])
@@ -146,9 +145,8 @@ pub fn run_lint_with(root: &Path, use_cache: bool) -> Result<LintReport, String>
     }
 
     // Layer 2: workspace call-graph rules (configured via [analysis]).
-    let run_analysis = !(config.analysis.taint_sinks.is_empty()
-        && config.analysis.panic_roots.is_empty()
-        && config.analysis.async_paths.is_empty());
+    let run_analysis =
+        !(config.analysis.taint_sinks.is_empty() && config.analysis.panic_roots.is_empty());
     if run_analysis {
         let parsed: Vec<parser::ParsedFile> = files
             .iter()
@@ -165,7 +163,6 @@ pub fn run_lint_with(root: &Path, use_cache: bool) -> Result<LintReport, String>
         let g = graph::Graph::build(root, &parsed);
         analysis::taint(&parsed, &tokens, &g, &config.analysis, &mut raw);
         analysis::panic_path(&tokens, &g, &config.analysis, &mut raw);
-        analysis::async_discipline(&tokens, &g, &config.analysis, &mut raw);
     }
 
     // Waiver filter.

@@ -1,17 +1,17 @@
 //! A lightweight item parser on top of [`crate::lexer`].
 //!
 //! gt-lint v2 needs just enough structure to build a call graph: which
-//! functions exist (with their module path, surrounding `impl` type and
-//! `async`-ness), what each body *calls*, and which `use` declarations are
-//! in scope per file. This is deliberately **not** a Rust grammar — it is
+//! functions exist (with their module path and surrounding `impl` type),
+//! what each body *calls*, and which `use` declarations are in scope per
+//! file. This is deliberately **not** a Rust grammar — it is
 //! a single forward pass over the token stream that tracks brace nesting
 //! and recognizes `mod`/`impl`/`fn`/`use`/`struct`/`enum` item heads.
 //!
 //! Precision choices (documented in `DESIGN.md` §8):
-//! - `#[cfg(test)]` modules, `#[test]`/`#[tokio::test]` functions and
-//!   whole test files are skipped — the graph describes production paths.
+//! - `#[cfg(test)]` modules, `#[test]` functions and whole test files are
+//!   skipped — the graph describes production paths.
 //! - Calls made inside closures are attributed to the enclosing function,
-//!   so `tokio::spawn(async move { handle(x) })` yields an edge from the
+//!   so `thread::spawn(move || handle(x))` yields an edge from the
 //!   spawning function to `handle`.
 //! - Function-pointer types (`fn(u32)`), trait-method declarations without
 //!   bodies, and macro invocations are recognized and skipped; a macro
@@ -43,8 +43,6 @@ pub struct FnItem {
     pub module: Vec<String>,
     /// Enclosing `impl` self-type (last path segment), if any.
     pub impl_type: Option<String>,
-    /// Declared `async`.
-    pub is_async: bool,
     /// Carries a `#[cfg(feature = …)]`-style gate (directly or via the
     /// enclosing item). Such functions stay in the graph but are exempt
     /// from panic-site scanning: feature-gated invariant checks exist to
@@ -204,12 +202,11 @@ impl Parser<'_> {
         if has("cfg") && (has("feature") || has("debug_assertions")) {
             attrs.cfg_gated = true;
         }
-        // `#[test]`, `#[tokio::test]`, `#[bench]`, `#[proptest]` — a body
+        // `#[test]`, `#[bench]`, `#[proptest]` — a body
         // that *is* a test entry point.
         if body
             .first()
             .is_some_and(|t| t.is_ident("test") || t.is_ident("bench"))
-            || (has("tokio") && has("test"))
             || body.first().is_some_and(|t| t.is_ident("proptest"))
         {
             attrs.test_fn = true;
@@ -439,35 +436,6 @@ impl Parser<'_> {
         };
         let name = name_tok.text.clone();
         let line = self.tokens[*i].line;
-        // `async` appears among the qualifiers just before `fn`.
-        let mut is_async = false;
-        let mut back = *i;
-        while back > 0 {
-            back -= 1;
-            let Some(q) = self.tok(back) else { break };
-            let qualifier = (q.kind == TokenKind::Ident
-                && matches!(
-                    q.text.as_str(),
-                    "pub"
-                        | "const"
-                        | "unsafe"
-                        | "async"
-                        | "extern"
-                        | "crate"
-                        | "super"
-                        | "in"
-                        | "self"
-                ))
-                || q.is_punct("(")
-                || q.is_punct(")")
-                || q.kind == TokenKind::Str;
-            if !qualifier {
-                break;
-            }
-            if q.is_ident("async") {
-                is_async = true;
-            }
-        }
         // Consume the signature: everything up to the body `{` or a `;`
         // (trait declaration). `-> impl Trait`, generics and where-clauses
         // carry no braces, so the first brace at angle depth ≤ 0 is the body.
@@ -503,7 +471,6 @@ impl Parser<'_> {
             name,
             module: module.to_vec(),
             impl_type: impl_type.map(str::to_string),
-            is_async,
             cfg_gated: cfg_gated || attrs.cfg_gated,
             line,
             body: (k, body_end.saturating_sub(1)),
@@ -573,7 +540,7 @@ impl Parser<'_> {
     fn body_token(&mut self, i: usize, fn_idx: usize) -> Option<usize> {
         let t = self.tok(i)?;
         if t.kind != TokenKind::Ident || (is_keyword(&t.text) && t.text != "Self") {
-            // Method call / `.await` is keyed off the preceding `.`;
+            // A method call is keyed off the preceding `.`;
             // handle it when we *land* on the ident after a dot, below.
             return None;
         }
@@ -705,12 +672,11 @@ mod tests {
     #[test]
     fn test_fns_and_cfg_gates_are_tracked() {
         let f = parse(
-            "#[test] fn t() {}\n#[cfg(feature = \"invariants\")] fn gated() {}\nasync fn go() {}",
+            "#[test] fn t() {}\n#[cfg(feature = \"invariants\")] fn gated() {}\npub(crate) fn go() {}",
         );
         assert_eq!(f.fns.len(), 2);
         assert!(f.fns[0].cfg_gated);
         assert_eq!(f.fns[1].name, "go");
-        assert!(f.fns[1].is_async);
     }
 
     #[test]

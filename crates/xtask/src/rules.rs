@@ -28,8 +28,8 @@ use crate::lexer::{Token, TokenKind};
 /// Stable identifiers of every rule, as used in `lint.toml` waivers.
 ///
 /// The first six are per-file token rules implemented here; the
-/// `taint-*`, `panic-path` and `async-discipline` families are
-/// workspace-level call-graph rules implemented in [`crate::analysis`].
+/// `taint-*` and `panic-path` families are workspace-level call-graph
+/// rules implemented in [`crate::analysis`].
 pub const RULE_NAMES: &[&str] = &[
     "float-eq",
     "env-var",
@@ -42,7 +42,6 @@ pub const RULE_NAMES: &[&str] = &[
     "taint-env",
     "taint-hash",
     "panic-path",
-    "async-discipline",
 ];
 
 /// One finding: rule, location, human-readable detail.
@@ -567,7 +566,7 @@ mod tests {
     fn time_source_flags_raw_clock_reads_outside_obs() {
         for src in [
             "fn f() { let t = std::time::Instant::now(); }",
-            "fn f() { let t = tokio::time::Instant::now(); }",
+            "fn f() { let t = time::Instant::now(); }",
             "fn f() { let t = std::time::SystemTime::now(); }",
         ] {
             let v = run(PLAIN, src);

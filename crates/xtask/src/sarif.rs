@@ -38,7 +38,6 @@ fn rule_description(rule: &str) -> &'static str {
         "taint-env" => "No transitive environment reads from deterministic sinks",
         "taint-hash" => "No transitive HashMap/HashSet use from deterministic sinks",
         "panic-path" => "No panic-capable sites reachable from serving roots",
-        "async-discipline" => "No blocking calls or sync guards across .await in async fns",
         _ => "gt-lint rule",
     }
 }

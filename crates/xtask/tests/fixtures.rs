@@ -56,18 +56,3 @@ fn panic_clean_fixture_tolerates_offline_unwraps() {
     let v = lint_fixture("panic_clean");
     assert!(v.is_empty(), "{v:?}");
 }
-
-#[test]
-fn async_trip_fixture_trips_on_blocking_sleep() {
-    let v = lint_fixture("async_trip");
-    let a: Vec<&Violation> = v.iter().filter(|v| v.rule == "async-discipline").collect();
-    assert_eq!(a.len(), 1, "{v:?}");
-    assert_eq!(a[0].path, "crates/k/src/lib.rs");
-    assert!(a[0].message.contains("thread::sleep"), "{}", a[0].message);
-}
-
-#[test]
-fn async_clean_fixture_accepts_runtime_sleep_and_scoped_guards() {
-    let v = lint_fixture("async_clean");
-    assert!(v.is_empty(), "{v:?}");
-}

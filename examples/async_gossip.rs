@@ -1,5 +1,5 @@
-//! Asynchronous gossip over real message passing: spawns one tokio task
-//! per peer, first over in-process channels (with 5% injected loss), then
+//! Asynchronous gossip over real message passing: spawns one thread per
+//! peer, first over in-process channels (with 5% injected loss), then
 //! over real UDP loopback sockets, with every push signed under the
 //! sender's identity key.
 //!
@@ -19,18 +19,17 @@ fn demo_matrix(n: usize) -> TrustMatrix {
     b.build()
 }
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 4)]
-async fn main() {
+fn main() {
     let n = 24;
     let matrix = demo_matrix(n);
     let params = Params::for_network(n);
 
-    println!("async gossip cluster: {n} tokio node tasks, signed pushes\n");
+    println!("async gossip cluster: {n} node threads, signed pushes\n");
 
     let config = NetConfig { tick: Duration::from_millis(2), ..NetConfig::fast_local() }
         .with_seed(1)
         .with_loss_rate(0.05);
-    let report = Cluster::in_memory(config).run(&matrix, &params).await;
+    let report = Cluster::in_memory(config).run(&matrix, &params);
     println!("[in-memory channels, 5% loss]");
     println!("  cycles: {}, converged: {}", report.cycles, report.converged);
     println!("  pushes sent: {}", report.pushes_sent);
@@ -44,9 +43,7 @@ async fn main() {
         report.power_nodes
     );
 
-    let report = Cluster::udp(NetConfig::fast_local().with_seed(2))
-        .run(&matrix, &params)
-        .await;
+    let report = Cluster::udp(NetConfig::fast_local().with_seed(2)).run(&matrix, &params);
     println!("\n[UDP loopback sockets]");
     println!("  cycles: {}, converged: {}", report.cycles, report.converged);
     println!("  pushes sent: {}", report.pushes_sent);

@@ -14,4 +14,4 @@ cd "$(dirname "$0")/.."
 # Observability overhead proof: instrumented vs bare engine step on twin
 # seeded trajectories; exits nonzero (failing this script) if the obs
 # hooks cost more than their 2% budget. Writes BENCH_obs.json.
-GT_BENCH_QUICK=1 cargo run --release -p gossiptrust-bench --bin obs_overhead
+GT_BENCH_QUICK=1 cargo run --release -p gossiptrust-experiments --bin obs_overhead

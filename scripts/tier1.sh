@@ -29,8 +29,8 @@ step cargo build --release --workspace
 # hygiene, the single env-knob surface, hash-free kernels,
 # forbid(unsafe_code) coverage, no ambient entropy) plus the workspace
 # call-graph families (taint reachability into the deterministic kernels,
-# panic-path on the serving roots, async executor discipline). Waivers
-# live in lint.toml; an expired waiver fails this step.
+# panic-path on the serving roots). Waivers live in lint.toml; an expired
+# waiver fails this step.
 step cargo xtask lint --no-cache
 
 # The linter's own acceptance gate: every rule family must trip on its
@@ -79,7 +79,7 @@ step cargo test -q -p gossiptrust-gossip --test pool_model
 # verb + HTTP listener under live load) and the <2% engine-hook
 # overhead proof (obs_overhead exits nonzero over budget).
 step cargo test -q -p gossiptrust --test obs_scrape
-step env GT_BENCH_QUICK=1 cargo run --release -p gossiptrust-bench --bin obs_overhead
+step env GT_BENCH_QUICK=1 cargo run --release -p gossiptrust-experiments --bin obs_overhead
 
 step env GT_QUICK=1 cargo run --release -p gossiptrust-experiments --bin all
 
@@ -103,14 +103,25 @@ knob_census() {
 }
 step knob_census
 
-# Census, next to the verdict: these run only where the real tokio and
-# proptest resolve. Their offline stand-ins type-check `#[tokio::test]`
-# bodies without polling them and expand `proptest!` to nothing, so there
-# "compiled" must not be read as "executed".
-census() { grep -rh --include='*.rs' "$1" crates tests | wc -l; }
+# One concurrency model: std threads everywhere, no executor, so no test
+# that an offline stand-in could compile without running. Any trace of
+# the old runtime outside the linter (whose lexer still has to know the
+# `async` keyword to skip it) fails the gate.
+async_remnants=$(grep -rn 'tokio\|async fn\|\.await' crates src tests examples Cargo.toml lint.toml |
+  grep -v '^crates/xtask/' || true)
+one_sync_model() {
+  [ -z "$async_remnants" ] || { echo "$async_remnants"; return 1; }
+}
+step one_sync_model
+
+# Census, next to the verdict: `proptest!` bodies run only where the real
+# proptest resolves; its offline stand-in expands them to nothing, so
+# there "compiled" must not be read as "executed" (the seeded `*_seeded`
+# twins beside them do run).
 echo
-echo "census: $(census '#\[tokio::test') #[tokio::test] fns and $(census '^ *proptest! {') proptest! blocks"
-echo "        execute only against the real crates (offline stand-ins compile them away)"
+echo "census: $(grep -c . <<<"$async_remnants") compiled-only async tests;" \
+  "$(grep -rh --include='*.rs' '^ *proptest! {' crates tests | wc -l) proptest! blocks execute only"
+echo "        against the real crate (the offline stand-in compiles them away)"
 if [ "$failed" -ne 0 ]; then
   echo "tier-1 gate FAILED (one or more steps above)" >&2
   exit 1

@@ -22,7 +22,7 @@
 //! | [`baselines`] | `gossiptrust-baselines` | Chord DHT, EigenTrust, NoTrust, centralized oracle |
 //! | [`storage`] | `gossiptrust-storage` | Bloom-filter reputation-rank storage |
 //! | [`crypto`] | `gossiptrust-crypto` | SHA-256/HMAC + identity-based signing simulation |
-//! | [`net`] | `gossiptrust-net` | tokio async gossip runtime (channels + UDP) |
+//! | [`net`] | `gossiptrust-net` | thread-per-node gossip runtime (channels + UDP) |
 //! | [`serve`] | `gossiptrust-serve` | epoch-driven reputation service: feedback ingest, versioned snapshots, TCP query front-end |
 //! | [`obs`] | `gossiptrust-obs` | dependency-free metrics registry, Prometheus exposition, span tracing, the sanctioned clock surface |
 //!
