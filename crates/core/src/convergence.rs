@@ -9,7 +9,6 @@
 //!   (Algorithm 2, line 25).
 
 use crate::vector::ReputationVector;
-use serde::{Deserialize, Serialize};
 
 /// Tracks one gossiped ratio `β_i(k) = x_i(k)/w_i(k)` across gossip steps and
 /// decides local convergence per Algorithm 1.
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// 2. the below-`ε` condition must hold for `patience` consecutive steps,
 ///    because early in the protocol the consensus weight `w` is still
 ///    spreading and the ratio can transiently plateau.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RatioTracker {
     epsilon: f64,
     patience: usize,
@@ -74,7 +73,7 @@ impl RatioTracker {
 
 /// Outer-loop convergence test: `|V(t) − V(t−1)| < δ`, measured as the
 /// average relative error (matching [`ReputationVector::avg_relative_error`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct VectorConvergence {
     delta: f64,
     previous: Option<ReputationVector>,

@@ -1,6 +1,5 @@
 //! Compact peer identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a peer node in the P2P network.
@@ -8,9 +7,7 @@ use std::fmt;
 /// Node ids are dense indices `0..n` into the trust matrix and reputation
 /// vector. A `u32` keeps gossip triplets small (the paper's per-node state is
 /// `O(n)` triplets, so entry size matters at scale).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -1,7 +1,6 @@
 //! Local trust scores: raw feedback accumulation and normalization (Eq. 1).
 
 use crate::id::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The outbound local-trust state of a single peer `i`.
@@ -19,7 +18,7 @@ use std::collections::BTreeMap;
 /// *not increasing* `r_ij` (a rating of 0), exactly like EigenTrust's
 /// `max(sat - unsat, 0)` convention, which [`LocalTrust::rate_satisfaction`]
 /// implements directly.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LocalTrust {
     /// Sparse map from rated peer to accumulated raw score `r_ij ≥ 0`.
     scores: BTreeMap<NodeId, f64>,

@@ -3,7 +3,6 @@
 use crate::error::CoreError;
 use crate::id::NodeId;
 use crate::local::LocalTrust;
-use serde::{Deserialize, Serialize};
 
 /// Builder that accumulates raw feedback `r_ij` and produces a normalized
 /// [`TrustMatrix`].
@@ -91,7 +90,7 @@ impl TrustMatrixBuilder {
 /// stored empty and treated as **uniform** (`s_ij = 1/n` for all `j`) by all
 /// matrix operations — the standard completion that keeps `S` stochastic and
 /// the induced Markov chain well-defined (EigenTrust does the same).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrustMatrix {
     n: usize,
     row_ptr: Vec<usize>,

@@ -1,7 +1,5 @@
 //! System parameters mirroring Table 2 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Strictly parse a positive-integer environment knob.
 ///
 /// Returns `None` when `name` is unset or set to the empty string (shells
@@ -236,7 +234,7 @@ pub fn chaos_seed() -> Option<u64> {
 /// | `q`      | max. number of power nodes (1% of n) | 10      |
 /// | `δ`      | global aggregation threshold         | 10⁻³    |
 /// | `ε`      | gossip error threshold               | 10⁻⁴    |
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Params {
     /// Number of peers `n` in the P2P network.
     pub n: usize,
@@ -271,7 +269,6 @@ pub struct Params {
     /// [`Params::resolved_threads`]. Results are independent of this
     /// setting — the engine's parallel path is bit-identical to its
     /// sequential path.
-    #[serde(default)]
     pub threads: usize,
 }
 
@@ -430,8 +427,7 @@ mod tests {
 
     #[test]
     fn threads_default_is_auto() {
-        // 0 = auto; `#[serde(default)]` keeps configs written before the
-        // knob existed deserializable.
+        // 0 = auto.
         assert_eq!(Params::default().threads, 0);
         assert_eq!(Params::for_network(500).threads, 0);
     }

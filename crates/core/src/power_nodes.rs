@@ -18,10 +18,9 @@
 
 use crate::id::NodeId;
 use crate::vector::ReputationVector;
-use serde::{Deserialize, Serialize};
 
 /// A prior distribution `P` over nodes used for the `α`-mixing jump.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Prior {
     n: usize,
     /// Sparse support: nodes with non-zero prior mass and that mass.
@@ -124,7 +123,7 @@ impl Prior {
 }
 
 /// Selects the power-node set from a converged reputation vector.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PowerNodeSelector {
     /// Maximum number of power nodes `q` (Table 2 default: 1% of `n`).
     pub max_power_nodes: usize,

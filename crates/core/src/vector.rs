@@ -2,14 +2,13 @@
 
 use crate::error::CoreError;
 use crate::id::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// The global reputation vector `V(t) = {v_i(t)}` over an `n`-node network.
 ///
 /// Invariant maintained by all constructors: every component is finite and
 /// non-negative and the components sum to 1 (`Σ_i v_i = 1`), the
 /// normalization the paper requires of `V(t)` at every cycle.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ReputationVector {
     values: Vec<f64>,
 }

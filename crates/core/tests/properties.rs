@@ -9,65 +9,100 @@ use gossiptrust_core::metrics::{mean_abs_error, rms_relative_error, top_k_overla
 use gossiptrust_core::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A random feedback list: (from, to, amount) triples over `n` nodes.
 fn feedback_strategy(n: usize) -> impl Strategy<Value = Vec<(u32, u32, f64)>> {
     vec((0..n as u32, 0..n as u32, 0.01f64..100.0), 0..(n * 4).max(1))
 }
 
-fn build_matrix(n: usize, feedback: &[(u32, u32, f64)]) -> TrustMatrix {
+/// The matrix `seedlist` builds over `n` nodes (ids folded into `0..n`).
+fn build_matrix(n: usize, seedlist: &[(u32, u32, f64)]) -> TrustMatrix {
     let mut b = TrustMatrixBuilder::new(n);
-    for &(i, j, r) in feedback {
-        b.record(NodeId(i), NodeId(j), r);
+    for &(i, j, r) in seedlist {
+        b.record(NodeId(i % n as u32), NodeId(j % n as u32), r);
     }
     b.build()
 }
 
+// The contract-bearing properties, as plain functions: the `proptest!`
+// block below drives them where the real proptest resolves, the `*_seeded`
+// twins at the end of the file drive them everywhere (the offline
+// stand-in expands `proptest!` to nothing).
+
+/// Eq. 1 normalization: every built matrix is row-stochastic.
+fn check_row_stochastic(n: usize, seedlist: &[(u32, u32, f64)]) {
+    assert!(build_matrix(n, seedlist).is_row_stochastic(1e-9));
+}
+
+/// Sᵀ preserves probability mass: Σ(Sᵀv) = Σv for any non-negative v.
+fn check_transpose_mul_conserves_mass(n: usize, seedlist: &[(u32, u32, f64)], weights: &[f64]) {
+    let m = build_matrix(n, seedlist);
+    let v: Vec<f64> = weights[..n].to_vec();
+    let mass: f64 = v.iter().sum();
+    let mut out = vec![0.0; n];
+    m.transpose_mul(&v, &mut out).unwrap();
+    let out_mass: f64 = out.iter().sum();
+    assert!((mass - out_mass).abs() < 1e-9 * mass.max(1.0), "mass {mass} -> {out_mass}");
+    assert!(out.iter().all(|&x| x >= -1e-15), "negative output");
+}
+
+/// from_weights always yields a normalized vector.
+fn check_reputation_vector_normalizes(weights: Vec<f64>) {
+    let v = ReputationVector::from_weights(weights).unwrap();
+    let total: f64 = v.values().iter().sum();
+    assert!((total - 1.0).abs() < 1e-9);
+    assert!(v.values().iter().all(|&x| x >= 0.0));
+}
+
+/// α-mixing with any prior keeps vectors normalized.
+fn check_prior_mixing_conserves_mass(n: usize, k: usize, alpha: f64, weights: &[f64]) {
+    let nodes: Vec<NodeId> = (0..k.min(n)).map(NodeId::from_index).collect();
+    let prior = Prior::over_nodes(n, &nodes);
+    let v = ReputationVector::from_weights(weights[..n].to_vec()).unwrap();
+    let mut vals = v.values().to_vec();
+    prior.mix_into(&mut vals, alpha);
+    assert!((vals.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    assert!(vals.iter().all(|&x| x >= 0.0));
+}
+
+/// LocalTrust: normalized rows always sum to 1 (when non-empty) and all
+/// shares are within [0, 1].
+fn check_local_trust_normalization(entries: &[(u32, f64)]) {
+    let mut lt = LocalTrust::new();
+    for &(id, amount) in entries {
+        lt.add_feedback(NodeId(id), amount);
+    }
+    let norm = lt.normalized();
+    assert!(!norm.is_empty());
+    let total: f64 = norm.iter().map(|(_, s)| s).sum();
+    assert!((total - 1.0).abs() < 1e-9);
+    assert!(norm.iter().all(|&(_, s)| (0.0..=1.0 + 1e-12).contains(&s)));
+}
+
 proptest! {
-    /// Eq. 1 normalization: every built matrix is row-stochastic.
     #[test]
     fn matrix_is_always_row_stochastic(
         n in 1usize..40,
         seedlist in feedback_strategy(40),
     ) {
-        let feedback: Vec<_> = seedlist
-            .into_iter()
-            .map(|(i, j, r)| (i % n as u32, j % n as u32, r))
-            .collect();
-        let m = build_matrix(n, &feedback);
-        prop_assert!(m.is_row_stochastic(1e-9));
+        check_row_stochastic(n, &seedlist);
     }
 
-    /// Sᵀ preserves probability mass: Σ(Sᵀv) = Σv for any non-negative v.
     #[test]
     fn transpose_mul_conserves_mass(
         n in 1usize..30,
         seedlist in feedback_strategy(30),
         weights in vec(0.0f64..10.0, 30),
     ) {
-        let feedback: Vec<_> = seedlist
-            .into_iter()
-            .map(|(i, j, r)| (i % n as u32, j % n as u32, r))
-            .collect();
-        let m = build_matrix(n, &feedback);
-        let v: Vec<f64> = weights[..n].to_vec();
-        let mass: f64 = v.iter().sum();
-        let mut out = vec![0.0; n];
-        m.transpose_mul(&v, &mut out).unwrap();
-        let out_mass: f64 = out.iter().sum();
-        prop_assert!((mass - out_mass).abs() < 1e-9 * mass.max(1.0),
-            "mass {} -> {}", mass, out_mass);
-        prop_assert!(out.iter().all(|&x| x >= -1e-15), "negative output");
+        check_transpose_mul_conserves_mass(n, &seedlist, &weights);
     }
 
-    /// from_weights always yields a normalized vector.
     #[test]
     fn reputation_vector_normalizes(weights in vec(0.0f64..1000.0, 1..50)) {
         prop_assume!(weights.iter().sum::<f64>() > 0.0);
-        let v = ReputationVector::from_weights(weights).unwrap();
-        let total: f64 = v.values().iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
-        prop_assert!(v.values().iter().all(|&x| x >= 0.0));
+        check_reputation_vector_normalizes(weights);
     }
 
     /// L1 distance is a metric: symmetric, zero on identity, triangle holds.
@@ -100,11 +135,7 @@ proptest! {
         seedlist in feedback_strategy(20),
         start_weights in vec(0.01f64..5.0, 20),
     ) {
-        let feedback: Vec<_> = seedlist
-            .into_iter()
-            .map(|(i, j, r)| (i % n as u32, j % n as u32, r))
-            .collect();
-        let m = build_matrix(n, &feedback);
+        let m = build_matrix(n, &seedlist);
         let params = Params::for_network(n).with_delta(1e-10);
         let prior = Prior::uniform(n);
         let solver = PowerIteration::new(params.clone());
@@ -123,7 +154,6 @@ proptest! {
         prop_assert!(out.vector.l1_distance(&out2.vector).unwrap() < 1e-6);
     }
 
-    /// α-mixing with any prior keeps vectors normalized.
     #[test]
     fn prior_mixing_conserves_mass(
         n in 1usize..30,
@@ -131,13 +161,7 @@ proptest! {
         alpha in 0.0f64..1.0,
         weights in vec(0.01f64..10.0, 30),
     ) {
-        let nodes: Vec<NodeId> = (0..k.min(n)).map(NodeId::from_index).collect();
-        let prior = Prior::over_nodes(n, &nodes);
-        let v = ReputationVector::from_weights(weights[..n].to_vec()).unwrap();
-        let mut vals = v.values().to_vec();
-        prior.mix_into(&mut vals, alpha);
-        prop_assert!((vals.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        prop_assert!(vals.iter().all(|&x| x >= 0.0));
+        check_prior_mixing_conserves_mass(n, k, alpha, &weights);
     }
 
     /// RMS error is zero iff the estimates match on all v>0 components, and
@@ -179,18 +203,98 @@ proptest! {
         prop_assert_eq!(top_k_overlap(&r, &r, k), 1.0);
     }
 
-    /// LocalTrust: normalized rows always sum to 1 (when non-empty) and all
-    /// shares are within [0, 1].
     #[test]
     fn local_trust_normalization(entries in vec((0u32..50, 0.01f64..100.0), 1..60)) {
-        let mut lt = LocalTrust::new();
-        for &(id, amount) in &entries {
-            lt.add_feedback(NodeId(id), amount);
-        }
-        let norm = lt.normalized();
-        prop_assert!(!norm.is_empty());
-        let total: f64 = norm.iter().map(|(_, s)| s).sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
-        prop_assert!(norm.iter().all(|&(_, s)| (0.0..=1.0 + 1e-12).contains(&s)));
+        check_local_trust_normalization(&entries);
     }
+}
+
+// Seeded twins: the same checks over the same ranges, 96 fixed cases each.
+
+const SEEDED_CASES: usize = 96;
+
+/// `len` draws from `range`.
+fn draw_vec(draw: &mut StdRng, range: std::ops::Range<f64>, len: usize) -> Vec<f64> {
+    (0..len).map(|_| draw.random_range(range.clone())).collect()
+}
+
+/// What `feedback_strategy(ids)` generates.
+fn draw_feedback(draw: &mut StdRng, ids: u32) -> Vec<(u32, u32, f64)> {
+    let len = draw.random_range(0..(ids as usize * 4).max(1));
+    (0..len)
+        .map(|_| {
+            (
+                draw.random_range(0..ids),
+                draw.random_range(0..ids),
+                draw.random_range(0.01..100.0),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn matrix_is_always_row_stochastic_seeded() {
+    let mut draw = StdRng::seed_from_u64(0xC0DE_0001);
+    for _ in 0..SEEDED_CASES {
+        let n = draw.random_range(1usize..40);
+        check_row_stochastic(n, &draw_feedback(&mut draw, 40));
+    }
+    // The corners: one node, and a node nobody rated or who rated nobody.
+    check_row_stochastic(1, &[(0, 0, 1.0)]);
+    check_row_stochastic(3, &[]);
+    check_row_stochastic(3, &[(0, 1, 0.01), (0, 1, 100.0)]);
+}
+
+#[test]
+fn transpose_mul_conserves_mass_seeded() {
+    let mut draw = StdRng::seed_from_u64(0xC0DE_0002);
+    for _ in 0..SEEDED_CASES {
+        let n = draw.random_range(1usize..30);
+        let seedlist = draw_feedback(&mut draw, 30);
+        let weights = draw_vec(&mut draw, 0.0..10.0, 30);
+        check_transpose_mul_conserves_mass(n, &seedlist, &weights);
+    }
+    check_transpose_mul_conserves_mass(2, &[], &[0.0, 0.0]);
+}
+
+#[test]
+fn reputation_vector_normalizes_seeded() {
+    let mut draw = StdRng::seed_from_u64(0xC0DE_0003);
+    for _ in 0..SEEDED_CASES {
+        let len = draw.random_range(1usize..50);
+        let weights = draw_vec(&mut draw, 0.0..1000.0, len);
+        if weights.iter().sum::<f64>() > 0.0 {
+            check_reputation_vector_normalizes(weights);
+        }
+    }
+    check_reputation_vector_normalizes(vec![0.0, 0.0, 1e-300]);
+}
+
+#[test]
+fn prior_mixing_conserves_mass_seeded() {
+    let mut draw = StdRng::seed_from_u64(0xC0DE_0004);
+    for _ in 0..SEEDED_CASES {
+        let n = draw.random_range(1usize..30);
+        let k = draw.random_range(0usize..10);
+        let alpha = draw.random_range(0.0..1.0);
+        check_prior_mixing_conserves_mass(n, k, alpha, &draw_vec(&mut draw, 0.01..10.0, 30));
+    }
+    // No power nodes, more power nodes than nodes, α at both ends.
+    for (n, k, alpha) in [(5, 0, 0.0), (5, 0, 0.999), (3, 9, 0.5), (1, 1, 0.0)] {
+        check_prior_mixing_conserves_mass(n, k, alpha, &[1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+}
+
+#[test]
+fn local_trust_normalization_seeded() {
+    let mut draw = StdRng::seed_from_u64(0xC0DE_0005);
+    for _ in 0..SEEDED_CASES {
+        let len = draw.random_range(1usize..60);
+        let entries: Vec<(u32, f64)> = (0..len)
+            .map(|_| (draw.random_range(0u32..50), draw.random_range(0.01..100.0)))
+            .collect();
+        check_local_trust_normalization(&entries);
+    }
+    check_local_trust_normalization(&[(7, 0.01)]);
+    check_local_trust_normalization(&[(7, 0.01), (7, 100.0), (8, 0.01)]);
 }

@@ -22,12 +22,11 @@ use gossiptrust_workloads::population::Population;
 use gossiptrust_workloads::population::ThreatConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 // ---------------------------------------------------- EigenTrust vs gossip
 
 /// One row comparing GossipTrust with EigenTrust-over-DHT.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BaselineRow {
     /// System name.
     pub system: String,
@@ -125,7 +124,7 @@ pub fn eigentrust_vs_gossip(scale: Scale) -> Vec<BaselineRow> {
 // ------------------------------------------------------------ Bloom storage
 
 /// One row of the Bloom storage ablation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BloomRow {
     /// Per-bucket false-positive budget.
     pub fp_rate: f64,
@@ -162,7 +161,7 @@ pub fn bloom_storage(scale: Scale) -> Vec<BloomRow> {
 // ------------------------------------------------------------- Loss sweep
 
 /// One row of the link-loss ablation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct LossRow {
     /// Injected message-loss probability.
     pub loss_rate: f64,
@@ -218,7 +217,7 @@ pub fn loss_tolerance(scale: Scale) -> Vec<LossRow> {
 // ------------------------------------------------------- Power-node count
 
 /// One row of the power-node-count ablation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PowerNodeRow {
     /// Power-node budget q.
     pub q: usize,
@@ -268,7 +267,7 @@ pub fn power_node_count(scale: Scale) -> Vec<PowerNodeRow> {
 // ---------------------------------------------------------- Gossip scope
 
 /// One row of the gossip-scope ablation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ScopeRow {
     /// "global" or "neighbors".
     pub scope: String,
@@ -334,7 +333,7 @@ pub fn gossip_scope(scale: Scale) -> Vec<ScopeRow> {
 // ---------------------------------------------------------------- Churn
 
 /// One row of the churn ablation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ChurnRow {
     /// Long-run peer availability (fraction online).
     pub availability: f64,
@@ -407,7 +406,7 @@ pub fn churn_resilience(scale: Scale) -> Vec<ChurnRow> {
 // -------------------------------------------------------------- Patience
 
 /// One row of the detector-patience ablation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PatienceRow {
     /// Consecutive calm steps required before a node declares convergence.
     pub patience: usize,
@@ -452,7 +451,7 @@ pub fn patience(scale: Scale) -> Vec<PatienceRow> {
 // ------------------------------------------------------------------ QoF
 
 /// One row of the Quality-of-Feedback ablation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct QofRow {
     /// Whether QoF discounting was applied.
     pub qof_enabled: bool,
@@ -524,7 +523,7 @@ pub fn qof_discounting(scale: Scale) -> Vec<QofRow> {
 // ------------------------------------------------------- Object reputation
 
 /// One row of the object-reputation ablation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ObjectRepRow {
     /// Whether copy-level filtering was enabled.
     pub objects_enabled: bool,

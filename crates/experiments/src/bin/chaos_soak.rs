@@ -12,8 +12,8 @@
 //!    a missing snapshot or a version that goes backwards, no matter how
 //!    many epochs panic or overrun around it.
 //! 3. **Counters match the faults dealt**: the injector's own tally
-//!    agrees with the `ServiceStats` robustness counters, so the
-//!    degradation the soak reports is exactly the degradation injected.
+//!    agrees with the service's robustness counters, so the degradation
+//!    the soak reports is exactly the degradation injected.
 //!
 //! Faults come from the seeded [`ChaosInjector`] — `GT_CHAOS_SEED`
 //! overrides the fixed default, and a given seed replays the identical
@@ -22,6 +22,7 @@
 use gossiptrust_core::id::NodeId;
 use gossiptrust_core::params::chaos_seed;
 use gossiptrust_experiments::{Scale, TextTable};
+use gossiptrust_obs::Registry;
 use gossiptrust_serve::chaos::{ChaosConfig, ChaosInjector, ClientFault};
 use gossiptrust_serve::server::{serve_on_with, ServerConfig};
 use gossiptrust_serve::service::{ReputationService, ServiceConfig, ServiceHandle};
@@ -292,7 +293,10 @@ fn tcp_phase(n: usize, ops: usize, seed: u64) {
     println!("\n=== phase 3: TCP drill (frame faults + slow-loris + conn limit) ===");
     let service = ReputationService::start(ServiceConfig::new(n).with_seed(seed));
     let handle = service.handle();
-    let frame_chaos = Arc::new(ChaosInjector::new(ChaosConfig::soak(seed ^ 1)));
+    // The server-side dealer counts into the service's registry (its faults
+    // show in the scrape); our own misbehaviour below is not the service's.
+    let frame_chaos =
+        Arc::new(ChaosInjector::new(ChaosConfig::soak(seed ^ 1), &handle.obs().registry));
     let server_config = ServerConfig {
         max_conns: 4,
         read_timeout: Duration::from_millis(100),
@@ -305,7 +309,7 @@ fn tcp_phase(n: usize, ops: usize, seed: u64) {
     std::thread::spawn(move || serve_on_with(server_handle, listener, server_config));
 
     // Our own misbehavior schedule, independent of the server's injector.
-    let client_chaos = ChaosInjector::new(ChaosConfig::soak(seed ^ 2));
+    let client_chaos = ChaosInjector::new(ChaosConfig::soak(seed ^ 2), &Registry::new());
     let (mut answered, mut silent, mut stalled, mut oversized) = (0u64, 0u64, 0u64, 0u64);
     for _ in 0..ops {
         let mut conn = std::net::TcpStream::connect(addr).expect("drill connect");

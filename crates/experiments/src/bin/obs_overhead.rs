@@ -1,12 +1,12 @@
-//! Prove the engine's obs hooks cost less than 2% per step.
+//! Prove the engine's obs hook costs less than 2% per step.
 //!
 //! Runs the same seeded vector-gossip workload twice — once on a bare
-//! engine, once with an [`EngineObs`] bundle attached (step histogram +
-//! bytes counter, the exact hooks the service wires in) — interleaving
-//! the timed batches so OS scheduling noise hits both arms equally, then
-//! compares median ns/step. Writes `BENCH_obs.json` and exits nonzero
-//! when the measured overhead exceeds the 2% budget, so CI's perf-smoke
-//! job turns an instrumentation regression into a red build:
+//! engine, once with an [`EngineObs`] attached (one clock read and one
+//! histogram record per step, the exact hook the service wires in) —
+//! interleaving the timed batches so OS scheduling noise hits both arms
+//! equally, then compares median ns/step. Writes `BENCH_obs.json` and
+//! exits nonzero when the measured overhead exceeds the 2% budget, so CI's
+//! perf-smoke job turns an instrumentation regression into a red build:
 //!
 //! ```text
 //! cargo run --release -p gossiptrust-experiments --bin obs_overhead
@@ -22,10 +22,11 @@ use gossiptrust_core::power_nodes::Prior;
 use gossiptrust_core::vector::ReputationVector;
 use gossiptrust_gossip::engine::{EngineConfig, EngineObs, VectorGossipEngine};
 use gossiptrust_gossip::UniformChooser;
-use gossiptrust_obs::{Registry, Stopwatch};
+use gossiptrust_obs::{Histogram, Stopwatch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// Overhead budget (percent). The acceptance bar for the obs subsystem:
 /// hooks above this cost would be too expensive to leave always-on.
@@ -73,11 +74,8 @@ fn main() {
     let m = ring_matrix(n);
     let mut bare = seeded_engine(n, &m);
     let mut seen = seeded_engine(n, &m);
-    let registry = Registry::default();
-    seen.set_obs(Some(EngineObs {
-        step_ns: registry.histogram("gt_gossip_step_ns"),
-        bytes_streamed: registry.counter("gt_gossip_bytes_streamed_total"),
-    }));
+    let step_ns = Arc::new(Histogram::new());
+    seen.set_obs(Some(EngineObs { step_ns: Arc::clone(&step_ns) }));
 
     // Twin RNG streams keep the two arms on identical gossip trajectories;
     // identical work is the whole point of the comparison.
@@ -103,7 +101,7 @@ fn main() {
          overhead = {overhead_pct:+.2}%  (budget {BUDGET_PCT}%)"
     );
     assert_eq!(
-        registry.histogram("gt_gossip_step_ns").count(),
+        step_ns.count(),
         (rounds * batch) as u64 + 3,
         "every instrumented step must land in the histogram"
     );

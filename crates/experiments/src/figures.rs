@@ -18,7 +18,6 @@ use gossiptrust_workloads::population::{Population, ThreatConfig};
 use gossiptrust_workloads::scenario::{Scenario, ScenarioConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 /// Build a scenario at network size `n` (paper feedback parameters for
 /// large networks, scaled-down degrees for small test networks).
@@ -35,7 +34,7 @@ pub fn scenario_for(n: usize, threat: ThreatConfig, seed: u64) -> Scenario {
 
 /// One row of the Table 1 reproduction: a node's gossip pair and ratio at
 /// a given step of the Fig. 2 worked example.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Row {
     /// Gossip step (1-based).
     pub step: usize,
@@ -91,7 +90,7 @@ pub fn table1() -> (Vec<Table1Row>, f64) {
 // ----------------------------------------------------------------- Fig. 3
 
 /// One point of Fig. 3.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig3Row {
     /// Network size.
     pub n: usize,
@@ -146,7 +145,7 @@ pub fn fig3(scale: Scale) -> Vec<Fig3Row> {
 // ---------------------------------------------------------------- Table 3
 
 /// One row of Table 3.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table3Row {
     /// Gossip threshold ε.
     pub epsilon: f64,
@@ -211,7 +210,7 @@ pub fn table3(scale: Scale) -> Vec<Table3Row> {
 // --------------------------------------------------------------- Fig. 4(a)
 
 /// One point of Fig. 4(a) or 4(b).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig4Row {
     /// Greedy factor α of the run.
     pub alpha: f64,
@@ -344,7 +343,7 @@ pub fn fig4b(scale: Scale) -> Vec<Fig4Row> {
 // ----------------------------------------------------------------- Fig. 5
 
 /// One point of Fig. 5.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig5Row {
     /// System name ("GossipTrust" or "NoTrust").
     pub system: String,

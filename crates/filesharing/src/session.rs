@@ -28,7 +28,6 @@ use gossiptrust_workloads::population::{PeerKind, Population};
 use gossiptrust_workloads::queries::QueryWorkload;
 use gossiptrust_workloads::saroiu::SaroiuFiles;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How global reputation scores are recomputed at each refresh.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,7 +122,7 @@ impl SessionConfig {
 }
 
 /// Statistics of one refresh window.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WindowStats {
     /// Queries issued in the window.
     pub queries: usize,
@@ -145,7 +144,7 @@ impl WindowStats {
 }
 
 /// Full session report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SessionReport {
     /// Total queries issued.
     pub queries: usize,

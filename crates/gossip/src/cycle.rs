@@ -17,7 +17,6 @@ use gossiptrust_core::params::Params;
 use gossiptrust_core::power_nodes::{PowerNodeSelector, Prior};
 use gossiptrust_core::vector::ReputationVector;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How the mixing prior evolves across aggregation cycles.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,7 +32,7 @@ pub enum PriorPolicy {
 }
 
 /// Per-cycle measurements.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CycleStats {
     /// Aggregation cycle index `t` (1-based).
     pub cycle: usize,

@@ -139,7 +139,7 @@ use gossiptrust_core::matrix::TrustMatrix;
 use gossiptrust_core::params::Params;
 use gossiptrust_core::power_nodes::Prior;
 use gossiptrust_core::vector::ReputationVector;
-use gossiptrust_obs::{Counter, Histogram, Stopwatch};
+use gossiptrust_obs::{Histogram, Stopwatch};
 use rand::Rng;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -148,23 +148,21 @@ use std::thread;
 /// Sentinel in the per-step send table: "this node pushed nothing".
 const NO_SEND: u32 = u32::MAX;
 
-/// Observability hooks of the gossip engine: per-step wall time and the
-/// estimated bytes streamed, recorded into externally owned metrics.
+/// Observability hook of the gossip engine: per-step wall time, recorded
+/// into an externally owned histogram.
 ///
 /// The engine holds an `Option<EngineObs>`; the `None` default makes the
-/// hooks true no-ops — no clock read, no atomic — so an unobserved engine
-/// pays nothing (`bench obs_overhead` pins the observed cost < 2%).
-/// Attach with [`VectorGossipEngine::set_obs`]; handles are `Arc`s into a
-/// [`Registry`](gossiptrust_obs::Registry), so a service, a bench and a
-/// scrape endpoint can all watch the same engine.
+/// hook a true no-op — no clock read, no atomic — so an unobserved engine
+/// pays nothing (the `obs_overhead` bin pins the observed cost < 2%).
+/// Attach with [`VectorGossipEngine::set_obs`]; the handle is an `Arc` into
+/// a [`Registry`](gossiptrust_obs::Registry), so a service, a bench and a
+/// scrape endpoint can all watch the same engine. Counts (steps, messages,
+/// bytes) are not a hook: read [`VectorGossipEngine::stats`] and
+/// [`GossipStats::diff`] it, as the service's epoch loop does.
 #[derive(Clone, Debug)]
 pub struct EngineObs {
     /// Wall time of one full step (draw + kernel + publish), nanoseconds.
     pub step_ns: Arc<Histogram>,
-    /// Estimated memory traffic per step (own rows read, next rows
-    /// written, one sender row per delivery), mirroring
-    /// [`GossipStats::bytes_streamed`].
-    pub bytes_streamed: Arc<Counter>,
 }
 
 /// Tuning knobs of the vector gossip engine.
@@ -1008,7 +1006,6 @@ impl VectorGossipEngine {
     ) -> StepOutcome {
         // One cold branch when unobserved; one clock read when observed.
         let sw = self.obs.as_ref().map(|_| Stopwatch::start());
-        let bytes0 = self.stats.bytes_streamed;
         let corrupt_active = self.draw_sends(chooser, rng);
         #[cfg(feature = "invariants")]
         let expected = self.expected_masses_after(corrupt_active);
@@ -1022,7 +1019,6 @@ impl VectorGossipEngine {
         self.assert_masses(&expected, "VectorGossipEngine::step");
         if let (Some(sw), Some(obs)) = (sw, self.obs.as_ref()) {
             obs.step_ns.record(sw.elapsed_ns());
-            obs.bytes_streamed.add(self.stats.bytes_streamed - bytes0);
         }
         outcome
     }
@@ -1041,11 +1037,10 @@ impl VectorGossipEngine {
     ) -> StepOutcome {
         if self.cur.len() == 1 {
             // Delegation: the sequential step carries the instrumentation,
-            // so the step is never timed (or bytes-counted) twice.
+            // so the step is never timed twice.
             return self.step(chooser, rng);
         }
         let sw = self.obs.as_ref().map(|_| Stopwatch::start());
-        let bytes0 = self.stats.bytes_streamed;
         let corrupt_active = self.draw_sends(chooser, rng);
         #[cfg(feature = "invariants")]
         let expected = self.expected_masses_after(corrupt_active);
@@ -1094,7 +1089,6 @@ impl VectorGossipEngine {
         self.assert_masses(&expected, "VectorGossipEngine::par_step");
         if let (Some(sw), Some(obs)) = (sw, self.obs.as_ref()) {
             obs.step_ns.record(sw.elapsed_ns());
-            obs.bytes_streamed.add(self.stats.bytes_streamed - bytes0);
         }
         outcome
     }
@@ -1293,7 +1287,7 @@ mod tests {
 
     /// Attaching the obs hooks must be invisible to results: an observed
     /// engine is bit-identical to a bare one, step for step, while its
-    /// histogram/counter faithfully mirror the engine's own accounting.
+    /// histogram holds one sample per step the engine counted.
     #[test]
     fn observation_is_bit_transparent() {
         let n = 16;
@@ -1302,11 +1296,7 @@ mod tests {
         let mut seen = bare.clone();
         bare.seed(&m, &ReputationVector::uniform(n), &Prior::uniform(n), 0.15);
         seen.seed(&m, &ReputationVector::uniform(n), &Prior::uniform(n), 0.15);
-        let registry = gossiptrust_obs::Registry::new();
-        let obs = EngineObs {
-            step_ns: registry.histogram("gt_gossip_step_ns"),
-            bytes_streamed: registry.counter("gt_gossip_bytes_streamed_total"),
-        };
+        let obs = EngineObs { step_ns: Arc::new(Histogram::new()) };
         seen.set_obs(Some(obs.clone()));
         let mut rng_a = StdRng::seed_from_u64(29);
         let mut rng_b = StdRng::seed_from_u64(29);
@@ -1319,8 +1309,8 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_bits(), y.to_bits(), "observed engine must be bit-identical");
         }
-        assert_eq!(obs.step_ns.count(), 20);
-        assert_eq!(obs.bytes_streamed.get(), seen.stats().bytes_streamed);
+        assert_eq!(obs.step_ns.count(), seen.stats().steps);
+        assert_eq!(seen.stats(), bare.stats(), "the hook leaves the engine's own counts alone");
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Instrumentation counters for gossip runs.
 
-use serde::{Deserialize, Serialize};
-
 /// Estimated bytes of memory traffic one gossip step streams, for an
 /// `n`-node engine that delivered `delivered` pushes (see
 /// `engine::step_slab`).
@@ -36,7 +34,7 @@ pub fn step_bytes_estimate(n: usize, delivered: usize) -> u64 {
 /// self-half a node keeps is *not* counted — it never touches a link).
 /// `triplets_sent` approximates bandwidth: for the vector protocol each
 /// message carries `n` triplets, for the scalar protocol exactly one.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GossipStats {
     /// Gossip steps executed.
     pub steps: u64,

@@ -18,6 +18,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::metrics::Counter;
 use crate::time::Stopwatch;
 
 /// Whether a [`TraceEvent`] opens or closes a span.
@@ -44,12 +45,6 @@ pub struct TraceEvent {
     pub t_ns: u64,
 }
 
-#[derive(Debug)]
-struct Ring {
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
 /// Hands out spans and stores their events in a bounded ring buffer.
 ///
 /// Always used behind an [`Arc`], which spans clone to reach the ring on
@@ -59,7 +54,9 @@ pub struct Tracer {
     origin: Stopwatch,
     next_id: AtomicU64,
     capacity: usize,
-    ring: Mutex<Ring>,
+    ring: Mutex<VecDeque<TraceEvent>>,
+    /// Events evicted because the ring was full.
+    dropped: Arc<Counter>,
 }
 
 impl Tracer {
@@ -68,12 +65,22 @@ impl Tracer {
     /// # Panics
     /// Panics when `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        Self::with_dropped_counter(capacity, Arc::new(Counter::new()))
+    }
+
+    /// [`new`](Self::new), counting evictions into `dropped` — a registry's
+    /// counter, so the scrape and [`dropped`](Self::dropped) read one value.
+    ///
+    /// # Panics
+    /// Panics when `capacity` is zero.
+    pub fn with_dropped_counter(capacity: usize, dropped: Arc<Counter>) -> Self {
         assert!(capacity >= 1, "tracer capacity must be at least 1");
         Tracer {
             origin: Stopwatch::start(),
             next_id: AtomicU64::new(1),
             capacity,
-            ring: Mutex::new(Ring { events: VecDeque::new(), dropped: 0 }),
+            ring: Mutex::new(VecDeque::new()),
+            dropped,
         }
     }
 
@@ -85,12 +92,12 @@ impl Tracer {
     /// A copy of the buffered events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
         let ring = self.ring.lock().expect("trace ring poisoned");
-        ring.events.iter().cloned().collect()
+        ring.iter().cloned().collect()
     }
 
     /// How many events have been evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.ring.lock().expect("trace ring poisoned").dropped
+        self.dropped.get()
     }
 
     fn open(
@@ -120,11 +127,11 @@ impl Tracer {
 
     fn push(&self, ev: TraceEvent) {
         let mut ring = self.ring.lock().expect("trace ring poisoned");
-        while ring.events.len() >= self.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
+        while ring.len() >= self.capacity {
+            ring.pop_front();
+            self.dropped.inc();
         }
-        ring.events.push_back(ev);
+        ring.push_back(ev);
     }
 }
 
@@ -223,13 +230,15 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let tracer = Arc::new(Tracer::new(4));
+        let evicted = Arc::new(Counter::new());
+        let tracer = Arc::new(Tracer::with_dropped_counter(4, Arc::clone(&evicted)));
         for _ in 0..5 {
             let _s = tracer.span("tick"); // 2 events each: start + end
         }
         let evs = tracer.events();
         assert_eq!(evs.len(), 4);
         assert_eq!(tracer.dropped(), 6);
+        assert_eq!(evicted.get(), 6, "the caller's counter is the one store");
         // The survivors are the most recent events.
         let newest = evs.last().expect("non-empty ring").span_id;
         assert_eq!(newest, 5);

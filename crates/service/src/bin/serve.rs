@@ -67,8 +67,12 @@ fn main() {
         max_conns: conn_limit(),
         read_timeout: Duration::from_millis(read_timeout_ms()),
         // The response path gets its own injector (same seed, independent
-        // RNG stream from the epoch-path injector inside the service).
-        chaos: drill.map(|seed| Arc::new(ChaosInjector::new(ChaosConfig::soak(seed)))),
+        // RNG stream from the epoch-path injector inside the service) on
+        // the service's registry, so the scrape shows the frame faults too.
+        chaos: drill.map(|seed| {
+            let registry = &service.handle().obs().registry;
+            Arc::new(ChaosInjector::new(ChaosConfig::soak(seed), registry))
+        }),
         ..ServerConfig::default()
     };
     if drill.is_some() {

@@ -13,18 +13,20 @@
 //! entropy, per gt-lint rule `entropy` — so a fault schedule is a pure
 //! function of `(seed, decision sequence)` and a chaos soak can be
 //! replayed exactly. The injector also *counts* every fault it deals
-//! ([`ChaosReport`]), which is what lets the soak assert that the
-//! service's degradation counters match the injected fault counts instead
-//! of merely "some faults happened".
+//! ([`ChaosReport`]) — into the `gt_chaos_*_total` counters of the registry
+//! it is built on, so its report and that registry's scrape cannot differ —
+//! which is what lets the soak assert that the service's degradation
+//! counters match the injected fault counts instead of merely "some faults
+//! happened".
 //!
 //! The injector is deliberately dumb: it decides, callers act. That keeps
 //! the blast radius auditable — grep for `frame_fault` / `epoch_fault` /
 //! `client_fault` and you have the complete list of places chaos can bite.
 
+use gossiptrust_obs::{Counter, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Fault mix of one chaos run. Rates are per-mille (0..=1000) so the knob
@@ -167,67 +169,90 @@ impl EpochFault {
     }
 }
 
-/// Monotonic counts of every fault dealt, by kind.
+/// Monotonic counts of every fault dealt, by kind: as plain numbers
+/// ([`ChaosReport`]) or as the live counters behind them ([`FaultCounts`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChaosReport {
+pub struct Faults<T> {
     /// Response frames dropped.
-    pub frames_dropped: u64,
+    pub frames_dropped: T,
     /// Response frames delayed.
-    pub frames_delayed: u64,
+    pub frames_delayed: T,
     /// Response frames duplicated.
-    pub frames_duplicated: u64,
+    pub frames_duplicated: T,
     /// Response frames truncated.
-    pub frames_truncated: u64,
+    pub frames_truncated: T,
     /// Client connections told to stall.
-    pub client_stalls: u64,
+    pub client_stalls: T,
     /// Client requests told to oversize.
-    pub client_oversize: u64,
+    pub client_oversize: T,
     /// Epochs told to panic.
-    pub epochs_panicked: u64,
+    pub epochs_panicked: T,
     /// Epochs told to overrun.
-    pub epochs_overrun: u64,
+    pub epochs_overrun: T,
 }
 
-#[derive(Debug, Default)]
-struct ChaosCounters {
-    frames_dropped: AtomicU64,
-    frames_delayed: AtomicU64,
-    frames_duplicated: AtomicU64,
-    frames_truncated: AtomicU64,
-    client_stalls: AtomicU64,
-    client_oversize: AtomicU64,
-    epochs_panicked: AtomicU64,
-    epochs_overrun: AtomicU64,
+/// A plain, copyable view of the fault counts at one instant.
+pub type ChaosReport = Faults<u64>;
+
+/// The eight `gt_chaos_*_total` counters of one registry. Injectors built
+/// on the same registry share them.
+pub type FaultCounts = Faults<Arc<Counter>>;
+
+impl FaultCounts {
+    /// Get or register the eight counters in `registry`.
+    pub fn register(registry: &Registry) -> Self {
+        Faults {
+            frames_dropped: registry.counter("gt_chaos_frames_dropped_total"),
+            frames_delayed: registry.counter("gt_chaos_frames_delayed_total"),
+            frames_duplicated: registry.counter("gt_chaos_frames_duplicated_total"),
+            frames_truncated: registry.counter("gt_chaos_frames_truncated_total"),
+            client_stalls: registry.counter("gt_chaos_client_stalls_total"),
+            client_oversize: registry.counter("gt_chaos_client_oversize_total"),
+            epochs_panicked: registry.counter("gt_chaos_epochs_panicked_total"),
+            epochs_overrun: registry.counter("gt_chaos_epochs_overrun_total"),
+        }
+    }
+
+    /// Snapshot of every fault dealt into these counters so far.
+    pub fn report(&self) -> ChaosReport {
+        Faults {
+            frames_dropped: self.frames_dropped.get(),
+            frames_delayed: self.frames_delayed.get(),
+            frames_duplicated: self.frames_duplicated.get(),
+            frames_truncated: self.frames_truncated.get(),
+            client_stalls: self.client_stalls.get(),
+            client_oversize: self.client_oversize.get(),
+            epochs_panicked: self.epochs_panicked.get(),
+            epochs_overrun: self.epochs_overrun.get(),
+        }
+    }
 }
 
 /// The seeded fault dealer. `Send + Sync`: the RNG sits behind a mutex
 /// (decisions are rare and cheap next to the I/O they perturb), the
-/// counters are atomics.
+/// counters are the registry's atomics.
 #[derive(Debug)]
 pub struct ChaosInjector {
     config: ChaosConfig,
     rng: Mutex<StdRng>,
-    counters: ChaosCounters,
+    counters: FaultCounts,
 }
 
 impl ChaosInjector {
-    /// Build an injector for `config`.
+    /// Build an injector for `config` that counts the faults it deals
+    /// into `registry` (the service's, for anything the service's scrape
+    /// should show; a private one for a client-side dealer).
     ///
     /// # Panics
     ///
     /// Panics when `config` fails [`ChaosConfig::validate`] — an
     /// over-1000‰ fault mix is a harness bug, not a runtime condition.
-    pub fn new(config: ChaosConfig) -> Self {
+    pub fn new(config: ChaosConfig, registry: &Registry) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid chaos config: {e}");
         }
         let rng = Mutex::new(StdRng::seed_from_u64(config.seed));
-        ChaosInjector { config, rng, counters: ChaosCounters::default() }
-    }
-
-    /// The configuration this injector deals from.
-    pub fn config(&self) -> &ChaosConfig {
-        &self.config
+        ChaosInjector { config, rng, counters: FaultCounts::register(registry) }
     }
 
     /// One per-mille roll off the seeded stream.
@@ -244,22 +269,22 @@ impl ChaosInjector {
         let roll = self.roll();
         let mut edge = c.drop_per_mille;
         if roll < edge {
-            self.counters.frames_dropped.fetch_add(1, Ordering::Relaxed);
+            self.counters.frames_dropped.inc();
             return FrameFault::Drop;
         }
         edge += c.delay_per_mille;
         if roll < edge {
-            self.counters.frames_delayed.fetch_add(1, Ordering::Relaxed);
+            self.counters.frames_delayed.inc();
             return FrameFault::Delay(Duration::from_millis(c.delay_ms));
         }
         edge += c.duplicate_per_mille;
         if roll < edge {
-            self.counters.frames_duplicated.fetch_add(1, Ordering::Relaxed);
+            self.counters.frames_duplicated.inc();
             return FrameFault::Duplicate;
         }
         edge += c.truncate_per_mille;
         if roll < edge {
-            self.counters.frames_truncated.fetch_add(1, Ordering::Relaxed);
+            self.counters.frames_truncated.inc();
             return FrameFault::Truncate;
         }
         FrameFault::Deliver
@@ -271,12 +296,12 @@ impl ChaosInjector {
         let roll = self.roll();
         let mut edge = c.stall_per_mille;
         if roll < edge {
-            self.counters.client_stalls.fetch_add(1, Ordering::Relaxed);
+            self.counters.client_stalls.inc();
             return ClientFault::Stall;
         }
         edge += c.oversize_per_mille;
         if roll < edge {
-            self.counters.client_oversize.fetch_add(1, Ordering::Relaxed);
+            self.counters.client_oversize.inc();
             return ClientFault::OversizeLine;
         }
         ClientFault::Honest
@@ -288,30 +313,21 @@ impl ChaosInjector {
         let roll = self.roll();
         let mut edge = c.epoch_panic_per_mille;
         if roll < edge {
-            self.counters.epochs_panicked.fetch_add(1, Ordering::Relaxed);
+            self.counters.epochs_panicked.inc();
             return Some(EpochFault::Panic);
         }
         edge += c.epoch_overrun_per_mille;
         if roll < edge {
-            self.counters.epochs_overrun.fetch_add(1, Ordering::Relaxed);
+            self.counters.epochs_overrun.inc();
             return Some(EpochFault::Overrun(Duration::from_millis(c.overrun_ms)));
         }
         None
     }
 
-    /// Snapshot of every fault dealt so far.
+    /// Snapshot of every fault dealt so far — by this injector and any
+    /// other built on the same registry.
     pub fn report(&self) -> ChaosReport {
-        let c = &self.counters;
-        ChaosReport {
-            frames_dropped: c.frames_dropped.load(Ordering::Relaxed),
-            frames_delayed: c.frames_delayed.load(Ordering::Relaxed),
-            frames_duplicated: c.frames_duplicated.load(Ordering::Relaxed),
-            frames_truncated: c.frames_truncated.load(Ordering::Relaxed),
-            client_stalls: c.client_stalls.load(Ordering::Relaxed),
-            client_oversize: c.client_oversize.load(Ordering::Relaxed),
-            epochs_panicked: c.epochs_panicked.load(Ordering::Relaxed),
-            epochs_overrun: c.epochs_overrun.load(Ordering::Relaxed),
-        }
+        self.counters.report()
     }
 }
 
@@ -321,21 +337,22 @@ mod tests {
 
     #[test]
     fn same_seed_same_fault_schedule() {
-        let a = ChaosInjector::new(ChaosConfig::soak(42));
-        let b = ChaosInjector::new(ChaosConfig::soak(42));
+        let a = ChaosInjector::new(ChaosConfig::soak(42), &Registry::new());
+        let b = ChaosInjector::new(ChaosConfig::soak(42), &Registry::new());
         let seq_a: Vec<FrameFault> = (0..200).map(|_| a.frame_fault()).collect();
         let seq_b: Vec<FrameFault> = (0..200).map(|_| b.frame_fault()).collect();
         assert_eq!(seq_a, seq_b, "chaos is a pure function of the seed");
         assert_eq!(a.report(), b.report());
         // A different seed deals a different schedule.
-        let c = ChaosInjector::new(ChaosConfig::soak(43));
+        let c = ChaosInjector::new(ChaosConfig::soak(43), &Registry::new());
         let seq_c: Vec<FrameFault> = (0..200).map(|_| c.frame_fault()).collect();
         assert_ne!(seq_a, seq_c, "distinct seeds must not alias");
     }
 
     #[test]
     fn counters_match_dealt_faults_exactly() {
-        let chaos = ChaosInjector::new(ChaosConfig::soak(7));
+        let registry = Registry::new();
+        let chaos = ChaosInjector::new(ChaosConfig::soak(7), &registry);
         let mut dealt = ChaosReport::default();
         for _ in 0..500 {
             match chaos.frame_fault() {
@@ -361,6 +378,22 @@ mod tests {
             }
         }
         assert_eq!(chaos.report(), dealt);
+        // The report is a read-out of the registry it was given, not a copy:
+        // the scrape carries the same numbers, and a second injector on the
+        // same registry deals into the same counters.
+        let scrape = registry.render();
+        assert!(
+            scrape.contains(&format!("gt_chaos_frames_dropped_total {}\n", dealt.frames_dropped))
+        );
+        assert!(
+            scrape.contains(&format!("gt_chaos_epochs_overrun_total {}\n", dealt.epochs_overrun))
+        );
+        let second = ChaosInjector::new(
+            ChaosConfig { drop_per_mille: 1000, ..ChaosConfig::disabled(1) },
+            &registry,
+        );
+        assert_eq!(second.frame_fault(), FrameFault::Drop);
+        assert_eq!(chaos.report().frames_dropped, dealt.frames_dropped + 1);
         // The soak rates are high enough that every arm actually fired.
         assert!(dealt.frames_dropped > 0);
         assert!(dealt.frames_delayed > 0);
@@ -373,7 +406,7 @@ mod tests {
 
     #[test]
     fn disabled_config_never_faults() {
-        let chaos = ChaosInjector::new(ChaosConfig::disabled(1));
+        let chaos = ChaosInjector::new(ChaosConfig::disabled(1), &Registry::new());
         for _ in 0..100 {
             assert_eq!(chaos.frame_fault(), FrameFault::Deliver);
             assert_eq!(chaos.client_fault(), ClientFault::Honest);
@@ -387,6 +420,6 @@ mod tests {
     fn over_unity_frame_rates_are_rejected() {
         let config =
             ChaosConfig { drop_per_mille: 600, delay_per_mille: 600, ..ChaosConfig::disabled(0) };
-        ChaosInjector::new(config);
+        ChaosInjector::new(config, &Registry::new());
     }
 }

@@ -26,12 +26,11 @@ use crate::chaos::ChaosInjector;
 use crate::log::FeedbackLog;
 use crate::obs::ServiceObs;
 use crate::snapshot::{ScoreSnapshot, SnapshotCell};
-use crate::stats::ServiceStats;
 use gossiptrust_core::params::Params;
 use gossiptrust_gossip::cycle::GossipTrustAggregator;
 use gossiptrust_gossip::engine::{EngineConfig, VectorGossipEngine};
 use gossiptrust_gossip::stats::GossipStats;
-use gossiptrust_gossip::UniformChooser;
+use gossiptrust_gossip::{TargetChooser, UniformChooser};
 use gossiptrust_obs::Stopwatch;
 use gossiptrust_storage::ranks::RankStorageConfig;
 use rand::rngs::StdRng;
@@ -57,7 +56,8 @@ pub struct EpochOutcome {
     pub cycles: usize,
     /// Whether the outer aggregation loop converged.
     pub converged: bool,
-    /// Gossip activity of exactly this epoch.
+    /// Gossip activity of exactly this epoch (a panicked one reports what
+    /// the engine had counted when the body unwound).
     pub gossip: GossipStats,
     /// Wall-clock milliseconds (fold + aggregate + snapshot build).
     pub wall_ms: f64,
@@ -81,13 +81,8 @@ pub enum EpochCommand {
 pub struct EpochManager {
     log: Arc<FeedbackLog>,
     cell: Arc<SnapshotCell>,
-    stats: Arc<ServiceStats>,
     aggregator: GossipTrustAggregator,
     engine: VectorGossipEngine,
-    /// The engine's construction recipe, kept so the watchdog can rebuild
-    /// a fresh engine after containing a mid-epoch panic (the half-stepped
-    /// engine state is unknowable and must not leak into later epochs).
-    engine_config: EngineConfig,
     rank_config: RankStorageConfig,
     base_seed: u64,
     epoch: u64,
@@ -100,23 +95,21 @@ pub struct EpochManager {
     deadline: Option<Duration>,
     /// Seeded epoch-path fault injector (`None` = no injected faults).
     chaos: Option<Arc<ChaosInjector>>,
-    /// Observability bundle: one span per epoch (fold → aggregate →
-    /// publish children) plus per-phase histograms. Managers built with
-    /// [`new`](Self::new) get a detached bundle (nothing scrapes it);
-    /// [`with_obs`](Self::with_obs) swaps in the service-wide one.
+    /// Observability bundle: the epoch counters, one span per epoch (fold →
+    /// aggregate → publish children) and the per-phase histograms.
     obs: Arc<ServiceObs>,
 }
 
 impl EpochManager {
-    /// Build a manager for the `log`/`cell`/`stats` triple.
+    /// Build a manager for the `log`/`cell`/`obs` triple.
     ///
     /// The persistent engine (and its worker pool, sized per
-    /// `params.resolved_threads()`) is created here and reused for every
-    /// healthy epoch.
+    /// `params.resolved_threads()`) is created here, with its step-timing
+    /// hook in `obs`'s registry, and reused for every healthy epoch.
     pub fn new(
         log: Arc<FeedbackLog>,
         cell: Arc<SnapshotCell>,
-        stats: Arc<ServiceStats>,
+        obs: Arc<ServiceObs>,
         params: Params,
         rank_config: RankStorageConfig,
         base_seed: u64,
@@ -125,19 +118,17 @@ impl EpochManager {
         let n = log.n();
         assert_eq!(params.n, n, "params.n must match the feedback log");
         let engine_config = EngineConfig::from_params(&params, n);
-        let engine = VectorGossipEngine::new(n, engine_config.clone());
-        let aggregator =
-            GossipTrustAggregator::new(params).with_engine_config(engine_config.clone());
+        let mut engine = VectorGossipEngine::new(n, engine_config.clone());
+        engine.set_obs(Some(obs.engine.clone()));
+        let aggregator = GossipTrustAggregator::new(params).with_engine_config(engine_config);
         // Versions continue from whatever snapshot is already live (the
         // bootstrap snapshot at service start).
         let version = cell.load().version;
         EpochManager {
             log,
             cell,
-            stats,
             aggregator,
             engine,
-            engine_config,
             rank_config,
             base_seed,
             epoch: 0,
@@ -145,7 +136,7 @@ impl EpochManager {
             fail_epochs,
             deadline: None,
             chaos: None,
-            obs: Arc::new(ServiceObs::new(64)),
+            obs,
         }
     }
 
@@ -158,14 +149,6 @@ impl EpochManager {
     /// Builder-style setter: inject epoch-path faults from `chaos`.
     pub fn with_chaos(mut self, chaos: Arc<ChaosInjector>) -> Self {
         self.chaos = Some(chaos);
-        self
-    }
-
-    /// Builder-style setter: record into the shared observability bundle
-    /// and attach the gossip engine's step-timing hooks to its registry.
-    pub fn with_obs(mut self, obs: Arc<ServiceObs>) -> Self {
-        self.engine.set_obs(Some(obs.engine.clone()));
-        self.obs = obs;
         self
     }
 
@@ -182,9 +165,15 @@ impl EpochManager {
     /// Either way the previous snapshot keeps serving — queries never
     /// observe a missing or half-built snapshot.
     pub fn run_epoch(&mut self) -> EpochOutcome {
+        self.run_epoch_with(&UniformChooser)
+    }
+
+    /// [`run_epoch`](Self::run_epoch) with the gossip target chooser left
+    /// open, so a test can make the aggregation itself fail.
+    fn run_epoch_with<C: TargetChooser>(&mut self, chooser: &C) -> EpochOutcome {
         self.epoch += 1;
         let epoch = self.epoch;
-        self.stats.note_epoch_started();
+        self.obs.epochs_attempted.inc();
         let t0 = Stopwatch::start();
         // The epoch span: children (fold/aggregate/publish) open inside the
         // watchdog body; an injected panic unwinds them cleanly (the
@@ -192,6 +181,11 @@ impl EpochManager {
         let span = self.obs.tracer.span("epoch");
         let seed = Self::epoch_seed(self.base_seed, epoch);
         let fault = self.chaos.as_ref().and_then(|c| c.epoch_fault());
+        let crippled = self.fail_epochs.contains(&epoch);
+        // Read outside the watchdog body: however the body ends — publish,
+        // degrade, overrun, unwind — the engine's counts since here are
+        // this epoch's gossip burn.
+        let before = self.engine.stats();
 
         let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(fault) = fault {
@@ -208,7 +202,7 @@ impl EpochManager {
             let mut rng = StdRng::seed_from_u64(seed);
 
             let aggregate_span = span.child("aggregate");
-            let (report, delta) = if self.fail_epochs.contains(&epoch) {
+            let report = if crippled {
                 // Injected failure: a throwaway aggregator whose gossip budget
                 // (2 steps) is below the engine's own min_steps floor, so no
                 // cycle can ever report convergence. The persistent engine and
@@ -216,70 +210,70 @@ impl EpochManager {
                 let crippled_params = Params { max_cycles: 1, ..self.aggregator.params().clone() };
                 let crippled_config =
                     EngineConfig { max_steps: 2, threads: 1, ..self.engine.config().clone() };
-                let crippled =
-                    GossipTrustAggregator::new(crippled_params).with_engine_config(crippled_config);
-                let report = crippled.aggregate_with(&matrix, &start, &UniformChooser, &mut rng);
-                let delta = report.total_stats();
-                (report, delta)
+                GossipTrustAggregator::new(crippled_params)
+                    .with_engine_config(crippled_config)
+                    .aggregate_with(&matrix, &start, chooser, &mut rng)
             } else {
-                let before = self.engine.stats();
-                let report = self.aggregator.aggregate_with_engine(
+                self.aggregator.aggregate_with_engine(
                     &mut self.engine,
                     &matrix,
                     &start,
-                    &UniformChooser,
+                    chooser,
                     &mut rng,
-                );
-                let delta = self.engine.stats().diff(&before);
-                (report, delta)
+                )
             };
             self.obs.epoch_aggregate_ns.record(aggregate_span.elapsed_ns());
             drop(aggregate_span);
-            (matrix, start, report, delta)
+            (matrix, start, report)
         }));
 
         let wall_ms = t0.elapsed_ms_f64();
         self.obs.epoch_total_ns.record(t0.elapsed_ns());
-        let (matrix, start, report, delta) = match body {
+        self.obs.last_epoch_wall_us.set((wall_ms * 1_000.0) as i64);
+        // The one writer of the gossip totals, ahead of every arm below
+        // (and of the engine rebuild): the work was burned whether or not
+        // its result is published.
+        let delta = match &body {
+            // The throw-away engine is gone; its report holds its counts.
+            Ok((_, _, report)) if crippled => report.total_stats(),
+            _ => self.engine.stats().diff(&before),
+        };
+        self.obs.absorb_gossip(&delta);
+        // What an epoch that publishes nothing reports; each outcome class
+        // below overrides only what it adds.
+        let kept = EpochOutcome {
+            epoch,
+            published: false,
+            live_version: self.version,
+            cycles: 0,
+            converged: false,
+            gossip: delta,
+            wall_ms,
+            panicked: false,
+            overran: false,
+        };
+        let (matrix, start, report) = match body {
             Ok(parts) => parts,
             Err(_) => {
                 // The panic may have left the worker pool or vector buffers
                 // half-stepped; a fresh engine is the only state we can
-                // trust. The previous snapshot keeps serving.
-                self.engine = VectorGossipEngine::new(self.log.n(), self.engine_config.clone());
+                // trust — the half-stepped state must not leak into later
+                // epochs. The previous snapshot keeps serving.
+                self.engine = VectorGossipEngine::new(self.log.n(), self.engine.config().clone());
                 self.engine.set_obs(Some(self.obs.engine.clone()));
-                self.stats.note_epoch_panicked(wall_ms);
-                return EpochOutcome {
-                    epoch,
-                    published: false,
-                    live_version: self.version,
-                    cycles: 0,
-                    converged: false,
-                    gossip: GossipStats::default(),
-                    wall_ms,
-                    panicked: true,
-                    overran: false,
-                };
+                self.obs.epochs_panicked.inc();
+                return EpochOutcome { panicked: true, ..kept };
             }
         };
+        let ran = EpochOutcome { cycles: report.cycles, converged: report.converged, ..kept };
 
         if self.deadline.is_some_and(|d| t0.elapsed() > d) {
             // The result arrived too late to be worth publishing: by now a
             // fresher fold exists, and a service that blocks its epoch loop
             // on stragglers falls permanently behind. Discard, keep serving
-            // the previous snapshot, absorb the burned gossip work.
-            self.stats.note_epoch_overrun(&delta, wall_ms);
-            return EpochOutcome {
-                epoch,
-                published: false,
-                live_version: self.version,
-                cycles: report.cycles,
-                converged: report.converged,
-                gossip: delta,
-                wall_ms,
-                panicked: false,
-                overran: true,
-            };
+            // the previous snapshot.
+            self.obs.epochs_overrun.inc();
+            return EpochOutcome { overran: true, ..ran };
         }
 
         let healthy = report.converged
@@ -308,20 +302,11 @@ impl EpochManager {
             drop(publish_span);
             #[cfg(feature = "invariants")]
             self.verify_replay();
+            self.obs.epochs_published.inc();
+        } else {
+            self.obs.epochs_degraded.inc();
         }
-        self.stats.note_epoch_finished(healthy, &delta, wall_ms);
-
-        EpochOutcome {
-            epoch,
-            published: healthy,
-            live_version: self.version,
-            cycles: report.cycles,
-            converged: report.converged,
-            gossip: delta,
-            wall_ms,
-            panicked: false,
-            overran: false,
-        }
+        EpochOutcome { published: healthy, live_version: self.version, ..ran }
     }
 
     /// Re-derive the just-published snapshot from its recorded
@@ -407,25 +392,25 @@ mod tests {
     fn setup(
         n: usize,
         fail: Vec<u64>,
-    ) -> (Arc<FeedbackLog>, Arc<SnapshotCell>, Arc<ServiceStats>, EpochManager) {
+    ) -> (Arc<FeedbackLog>, Arc<SnapshotCell>, Arc<ServiceObs>, EpochManager) {
         let log = Arc::new(FeedbackLog::new(n, 4));
         let cell = Arc::new(SnapshotCell::new(ScoreSnapshot::bootstrap(
             n,
             7,
             RankStorageConfig::default(),
         )));
-        let stats = Arc::new(ServiceStats::new());
+        let obs = Arc::new(ServiceObs::new(256));
         let params = Params::for_network(n).with_threads(2);
         let mgr = EpochManager::new(
             Arc::clone(&log),
             Arc::clone(&cell),
-            Arc::clone(&stats),
+            Arc::clone(&obs),
             params,
             RankStorageConfig::default(),
             7,
             fail,
         );
-        (log, cell, stats, mgr)
+        (log, cell, obs, mgr)
     }
 
     fn ring_feedback(log: &FeedbackLog, n: usize) {
@@ -440,7 +425,7 @@ mod tests {
 
     #[test]
     fn healthy_epoch_publishes_next_version() {
-        let (log, cell, stats, mut mgr) = setup(24, vec![]);
+        let (log, cell, obs, mut mgr) = setup(24, vec![]);
         ring_feedback(&log, 24);
         let outcome = mgr.run_epoch();
         assert!(outcome.published, "ring matrix must converge");
@@ -450,13 +435,13 @@ mod tests {
         assert_eq!(snap.epoch, 1);
         assert!(snap.matrix.is_some());
         assert!(outcome.gossip.steps > 0, "epoch delta must capture activity");
-        assert_eq!(stats.epochs_published(), 1);
-        assert_eq!(stats.epochs_degraded(), 0);
+        assert_eq!(obs.epochs_published.get(), 1);
+        assert_eq!(obs.epochs_degraded.get(), 0);
     }
 
     #[test]
     fn injected_failure_degrades_and_keeps_previous_snapshot() {
-        let (log, cell, stats, mut mgr) = setup(24, vec![2]);
+        let (log, cell, obs, mut mgr) = setup(24, vec![2]);
         ring_feedback(&log, 24);
         assert!(mgr.run_epoch().published);
         let before = cell.load();
@@ -465,7 +450,7 @@ mod tests {
         assert!(!failed.converged);
         let after = cell.load();
         assert_eq!(after.version, before.version, "previous snapshot stays live");
-        assert_eq!(stats.epochs_degraded(), 1);
+        assert_eq!(obs.epochs_degraded.get(), 1);
         // The loop recovers on the next (healthy) epoch.
         let recovered = mgr.run_epoch();
         assert!(recovered.published);
@@ -475,7 +460,7 @@ mod tests {
 
     #[test]
     fn epochs_are_reproducible_from_recorded_inputs() {
-        let (log, cell, _stats, mut mgr) = setup(24, vec![]);
+        let (log, cell, _obs, mut mgr) = setup(24, vec![]);
         ring_feedback(&log, 24);
         mgr.run_epoch();
         let snap = cell.load();
@@ -504,7 +489,7 @@ mod tests {
     #[should_panic(expected = "does not replay bit-for-bit")]
     fn tampered_snapshot_trips_the_replay_checker() {
         use gossiptrust_core::vector::ReputationVector;
-        let (log, cell, _stats, mut mgr) = setup(24, vec![]);
+        let (log, cell, _obs, mut mgr) = setup(24, vec![]);
         ring_feedback(&log, 24);
         assert!(mgr.run_epoch().published);
         // Overwrite the published scores with something the recorded
@@ -519,11 +504,11 @@ mod tests {
     #[test]
     fn watchdog_contains_injected_panics_and_recovers() {
         use crate::chaos::{ChaosConfig, ChaosInjector};
-        let (log, cell, stats, mgr) = setup(24, vec![]);
-        let chaos = Arc::new(ChaosInjector::new(ChaosConfig {
-            epoch_panic_per_mille: 1000,
-            ..ChaosConfig::disabled(9)
-        }));
+        let (log, cell, obs, mgr) = setup(24, vec![]);
+        let chaos = Arc::new(ChaosInjector::new(
+            ChaosConfig { epoch_panic_per_mille: 1000, ..ChaosConfig::disabled(9) },
+            &obs.registry,
+        ));
         let mut mgr = mgr.with_chaos(Arc::clone(&chaos));
         ring_feedback(&log, 24);
         let before = cell.load();
@@ -531,7 +516,7 @@ mod tests {
         assert!(outcome.panicked, "a certain-panic injector must trip the watchdog");
         assert!(!outcome.published);
         assert_eq!(cell.load().version, before.version, "previous snapshot stays live");
-        assert_eq!(stats.epochs_abandoned(), 1);
+        assert_eq!(obs.epochs_panicked.get(), 1);
         assert_eq!(chaos.report().epochs_panicked, 1);
         // Disarm the chaos: the rebuilt engine must aggregate and publish.
         mgr.chaos = None;
@@ -544,19 +529,22 @@ mod tests {
     #[test]
     fn deadline_abandons_overrunning_epochs() {
         use crate::chaos::{ChaosConfig, ChaosInjector};
-        let (log, cell, stats, mgr) = setup(24, vec![]);
-        let chaos = Arc::new(ChaosInjector::new(ChaosConfig {
-            epoch_overrun_per_mille: 1000,
-            overrun_ms: 30,
-            ..ChaosConfig::disabled(9)
-        }));
+        let (log, cell, obs, mgr) = setup(24, vec![]);
+        let chaos = Arc::new(ChaosInjector::new(
+            ChaosConfig {
+                epoch_overrun_per_mille: 1000,
+                overrun_ms: 30,
+                ..ChaosConfig::disabled(9)
+            },
+            &obs.registry,
+        ));
         let mut mgr = mgr.with_deadline(Duration::from_millis(5)).with_chaos(chaos);
         ring_feedback(&log, 24);
         let outcome = mgr.run_epoch();
         assert!(outcome.overran, "a 30ms stall under a 5ms deadline must be abandoned");
         assert!(!outcome.published);
         assert_eq!(cell.load().version, 0, "abandoned result must not publish");
-        assert_eq!(stats.epochs_abandoned(), 1);
+        assert_eq!(obs.epochs_overrun.get(), 1);
         // Disarm the chaos: the same manager publishes again. This half is
         // about the stall being gone, not about how fast 24 nodes
         // aggregate — under `--features invariants` the shadow run alone
@@ -570,9 +558,7 @@ mod tests {
     #[test]
     fn epochs_emit_spans_and_phase_timings() {
         use gossiptrust_obs::trace::EventKind;
-        let (log, _cell, _stats, mgr) = setup(24, vec![]);
-        let obs = Arc::new(ServiceObs::new(256));
-        let mut mgr = mgr.with_obs(Arc::clone(&obs));
+        let (log, _cell, obs, mut mgr) = setup(24, vec![]);
         ring_feedback(&log, 24);
         assert!(mgr.run_epoch().published);
         let events = obs.tracer.events();
@@ -589,7 +575,7 @@ mod tests {
         assert_eq!(obs.epoch_aggregate_ns.count(), 1);
         assert_eq!(obs.epoch_publish_ns.count(), 1);
         assert_eq!(obs.epoch_total_ns.count(), 1);
-        assert!(obs.engine.step_ns.count() > 0, "engine hooks must be attached via with_obs");
+        assert!(obs.engine.step_ns.count() > 0, "the engine's step hook is attached");
         // Aggregate dominates the epoch; its histogram must say so.
         assert!(obs.epoch_total_ns.max() >= obs.epoch_aggregate_ns.max());
     }
@@ -598,13 +584,12 @@ mod tests {
     fn contained_panic_leaves_no_torn_spans() {
         use crate::chaos::{ChaosConfig, ChaosInjector};
         use gossiptrust_obs::trace::EventKind;
-        let (log, _cell, _stats, mgr) = setup(24, vec![]);
-        let obs = Arc::new(ServiceObs::new(256));
-        let chaos = Arc::new(ChaosInjector::new(ChaosConfig {
-            epoch_panic_per_mille: 1000,
-            ..ChaosConfig::disabled(9)
-        }));
-        let mut mgr = mgr.with_obs(Arc::clone(&obs)).with_chaos(chaos);
+        let (log, _cell, obs, mgr) = setup(24, vec![]);
+        let chaos = Arc::new(ChaosInjector::new(
+            ChaosConfig { epoch_panic_per_mille: 1000, ..ChaosConfig::disabled(9) },
+            &obs.registry,
+        ));
+        let mut mgr = mgr.with_chaos(chaos);
         ring_feedback(&log, 24);
         assert!(mgr.run_epoch().panicked);
         // The watchdog epoch still closes its span; every Start has an End.
@@ -612,6 +597,114 @@ mod tests {
         let starts = events.iter().filter(|e| e.kind == EventKind::Start).count();
         let ends = events.iter().filter(|e| e.kind == EventKind::End).count();
         assert_eq!(starts, ends, "spans must balance even through a contained panic");
+    }
+
+    /// A chooser that panics once its budget of targets is spent — the
+    /// only way to unwind an epoch from *inside* the aggregation.
+    struct DiesAfter(std::cell::Cell<u32>);
+
+    impl TargetChooser for DiesAfter {
+        fn choose<R: rand::Rng + ?Sized>(
+            &self,
+            sender: usize,
+            step: usize,
+            n: usize,
+            rng: &mut R,
+        ) -> usize {
+            let left = self.0.get();
+            assert!(left > 0, "test chooser: dying mid-aggregation");
+            self.0.set(left - 1);
+            UniformChooser.choose(sender, step, n, rng)
+        }
+    }
+
+    /// The five gossip totals have one writer, and it runs in every arm:
+    /// an epoch that unwinds mid-aggregation and a crippled one (whose
+    /// steps ran on a throw-away engine) both land in `gt_gossip_*_total`,
+    /// which always equal the sum of the diffs the epochs reported.
+    #[test]
+    fn gossip_totals_are_the_sum_of_every_epochs_diff() {
+        let (log, cell, obs, mut mgr) = setup(24, vec![2]);
+        ring_feedback(&log, 24);
+        let mut sum = GossipStats::default();
+
+        // Three full steps' worth of targets, then the chooser panics.
+        let torn = mgr.run_epoch_with(&DiesAfter(std::cell::Cell::new(3 * 24)));
+        assert!(torn.panicked && !torn.published);
+        assert_eq!(torn.gossip.steps, 3, "the unwound epoch reports the steps it burned");
+        assert!(torn.gossip.bytes_streamed > 0);
+        sum.absorb(&torn.gossip);
+        assert_eq!(obs.stats_report().gossip, sum);
+        assert!(sum.steps > 0);
+
+        let crippled = mgr.run_epoch();
+        assert!(!crippled.published && !crippled.panicked);
+        assert!(crippled.gossip.steps > 0 && crippled.gossip.bytes_streamed > 0);
+        sum.absorb(&crippled.gossip);
+        assert_eq!(obs.stats_report().gossip, sum);
+
+        // The rebuilt engine publishes, and still counts from its own zero.
+        let healthy = mgr.run_epoch();
+        assert!(healthy.published, "rebuilt engine must recover");
+        sum.absorb(&healthy.gossip);
+        let report = obs.stats_report();
+        assert_eq!(report.gossip, sum, "burn is absorbed whether or not the epoch published");
+        assert!(
+            (report.gossip.bytes_streamed_per_step() - sum.bytes_streamed_per_step()).abs() < 1e-9
+        );
+        assert_eq!(cell.load().version, 1);
+        // What the scrape shows is that same sum, all five lines of it.
+        let scrape = obs.registry.render();
+        for (name, v) in [
+            ("gt_gossip_steps_total", sum.steps),
+            ("gt_gossip_messages_sent_total", sum.messages_sent),
+            ("gt_gossip_messages_dropped_total", sum.messages_dropped),
+            ("gt_gossip_triplets_sent_total", sum.triplets_sent),
+            ("gt_gossip_bytes_streamed_total", sum.bytes_streamed),
+        ] {
+            assert!(scrape.contains(&format!("{name} {v}\n")), "{name} != {v}:\n{scrape}");
+        }
+    }
+
+    /// Every epoch lands in exactly one outcome class: published, degraded,
+    /// panicked and overrun partition `epochs_attempted`, and the last
+    /// epoch's wall time is kept whichever class it fell in.
+    #[test]
+    fn epoch_outcomes_partition_into_four_classes() {
+        use crate::chaos::{ChaosConfig, ChaosInjector};
+        let (log, _cell, obs, mut mgr) = setup(24, vec![2]);
+        ring_feedback(&log, 24);
+        assert!(mgr.run_epoch().published);
+        let degraded = mgr.run_epoch();
+        assert!(!degraded.published && !degraded.panicked && !degraded.overran);
+        assert!((obs.stats_report().last_epoch_wall_ms - degraded.wall_ms).abs() < 2e-3);
+
+        let armed = |config| Some(Arc::new(ChaosInjector::new(config, &obs.registry)));
+        mgr.chaos = armed(ChaosConfig { epoch_panic_per_mille: 1000, ..ChaosConfig::disabled(9) });
+        let panicked = mgr.run_epoch();
+        assert!(panicked.panicked);
+        assert_eq!(panicked.gossip, GossipStats::default(), "it died before the engine ran");
+        assert!((obs.stats_report().last_epoch_wall_ms - panicked.wall_ms).abs() < 2e-3);
+
+        mgr.chaos = armed(ChaosConfig {
+            epoch_overrun_per_mille: 1000,
+            overrun_ms: 30,
+            ..ChaosConfig::disabled(9)
+        });
+        mgr.deadline = Some(Duration::from_millis(5));
+        let overran = mgr.run_epoch();
+        assert!(overran.overran && overran.gossip.steps > 0);
+        assert!((obs.stats_report().last_epoch_wall_ms - overran.wall_ms).abs() < 2e-3);
+
+        let r = obs.stats_report();
+        assert_eq!(r.epochs_attempted, 4);
+        // Neither failure class double-counts as published or degraded.
+        assert_eq!(
+            (r.epochs_published, r.epochs_degraded, r.epochs_panicked, r.epochs_overrun),
+            (1, 1, 1, 1)
+        );
+        assert_eq!(obs.chaos.report().epochs_panicked, 1);
+        assert_eq!(obs.chaos.report().epochs_overrun, 1);
     }
 
     #[test]

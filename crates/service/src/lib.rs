@@ -47,9 +47,6 @@
 //!   Hardened with a connection-limit accept gate (`GT_CONN_LIMIT`) and a
 //!   per-line read deadline (`GT_READ_TIMEOUT_MS`) that reaps slow-loris
 //!   clients.
-//! * [`stats`] — the [`stats::ServiceStats`] counter block; per-epoch gossip
-//!   activity is derived with [`gossiptrust_gossip::stats::GossipStats::diff`]
-//!   on the persistent engine's monotonic counters.
 //! * [`wal`] — the CRC-framed crash-recovery write-ahead log
 //!   (`GT_WAL_DIR`): every acknowledged feedback event is durable before
 //!   the ack, and startup replays the longest valid prefix (tolerating a
@@ -60,10 +57,13 @@
 //!   epoch panics and overruns — all from one seeded RNG, never ambient
 //!   entropy.
 //! * [`obs`] — the [`obs::ServiceObs`] bundle from `gossiptrust-obs`: one
-//!   shared metrics registry + span tracer recording query/ingest/request
+//!   shared metrics registry + span tracer holding everything the service
+//!   counts or times — epoch outcomes, queries, sheds, connection and WAL
+//!   accounting, gossip totals, chaos faults dealt, query/ingest/request
 //!   latencies, per-phase epoch timing, WAL append timing and the gossip
-//!   engine's step hooks, scraped via the `metrics` verb or the
-//!   `GT_METRICS_ADDR` listener as Prometheus text.
+//!   engine's step hook. The `metrics` verb and the `GT_METRICS_ADDR`
+//!   listener render it as Prometheus text; the `stats` verb's
+//!   [`obs::StatsReport`] loads the same handles.
 //!
 //! ## Concurrency contract
 //!
@@ -100,17 +100,15 @@ pub mod obs;
 pub mod server;
 pub mod service;
 pub mod snapshot;
-pub mod stats;
 pub mod wal;
 
 pub use chaos::{ChaosConfig, ChaosInjector, ChaosReport};
 pub use epoch::EpochOutcome;
 pub use log::{FeedbackEvent, FeedbackLog};
-pub use obs::ServiceObs;
+pub use obs::{ServiceObs, StatsReport};
 pub use server::{serve, serve_metrics_on};
 pub use service::{
     RankView, ReputationService, ScoreView, ServeError, ServiceConfig, ServiceHandle, TopKView,
 };
 pub use snapshot::{ScoreSnapshot, SnapshotCell};
-pub use stats::{ServiceStats, StatsReport};
 pub use wal::{GroupCommitObs, GroupCommitWal, Wal, WalReplay};

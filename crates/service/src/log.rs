@@ -41,7 +41,7 @@ struct Shard {
 pub struct FeedbackLog {
     n: usize,
     shards: Vec<Mutex<Shard>>,
-    /// Total events ever recorded (monotonic, for `ServiceStats`).
+    /// Total events ever recorded (monotonic; the `stats` verb reports it).
     events: AtomicU64,
     /// Events that had been recorded when the most recent [`FeedbackLog::fold`]
     /// started — the drained watermark of the ingest queue. `events -

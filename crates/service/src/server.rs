@@ -10,7 +10,7 @@
 //! | `{"op":"score","peer":P}`                                    | `peer`, `score`, `version`, `epoch`               |
 //! | `{"op":"rank","peer":P}`                                     | `peer`, `exact_rank`, `bloom_level`, `levels`, `version` |
 //! | `{"op":"top_k","k":K}`                                       | `version`, `peers` (array of `[id, score]`)       |
-//! | `{"op":"stats"}`                                             | the [`crate::stats::StatsReport`] counters        |
+//! | `{"op":"stats"}`                                             | the [`crate::obs::StatsReport`] counters          |
 //! | `{"op":"feedback","rater":R,"target":T,"score":S}`           | `events`                                          |
 //! | `{"op":"batch","data":"<hex>"}`                              | `accepted`, `events`                              |
 //! | `{"op":"epoch"}`                                             | `epoch`, `published`, `live_version`, `cycles`, `wall_ms` |
@@ -33,8 +33,8 @@
 //! a concurrent-connection cap sheds further accepts with one retriable
 //! error line; a per-line read deadline reaps slow-loris connections that
 //! drip-feed or stall mid-line; the request-line byte cap refuses
-//! newline-free floods. Shed and reaped connections are counted in
-//! [`crate::stats::ServiceStats`]. A [`crate::chaos::ChaosInjector`] can be
+//! newline-free floods. Shed and reaped connections are counted in the
+//! service's [`crate::obs::ServiceObs`]. A [`crate::chaos::ChaosInjector`] can be
 //! armed on the response path (chaos drills only) to drop, delay,
 //! duplicate, or truncate response frames deterministically.
 
@@ -158,7 +158,7 @@ pub fn serve_on_with(
 /// Refuse a connection at the gate: count it and volunteer one retriable
 /// error line (it fits a fresh socket's send buffer); the caller's drop closes.
 fn shed(handle: &ServiceHandle, mut stream: &TcpStream, why: &str) {
-    handle.service_stats().note_conn_rejected();
+    handle.obs().conns_rejected.inc();
     let _ = stream.write_all(format!("{}\n", retriable_error_line(why)).as_bytes());
 }
 
@@ -266,7 +266,7 @@ fn handle_connection(
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
                 // Slow-loris reaping: the client held the line open without
                 // completing a request within the deadline.
-                handle.service_stats().note_conn_timed_out();
+                handle.obs().conns_timed_out.inc();
                 let farewell = format!("{}\n", error_line("read timeout, closing"));
                 let _ = stream.write_all(farewell.as_bytes());
                 return Ok(());

@@ -1,10 +1,10 @@
 //! The in-process service front-end: lifecycle + query/ingest handle.
 //!
 //! [`ReputationService::start`] wires the three shared pieces together
-//! (feedback log, snapshot cell, stats), spawns the epoch-loop thread, and
-//! hands out cloneable [`ServiceHandle`]s. A handle is `Send + Sync + Clone`
-//! and cheap to pass to every ingest and query thread (three `Arc`s and an
-//! `mpsc` sender).
+//! (feedback log, snapshot cell, observability bundle), spawns the
+//! epoch-loop thread, and hands out cloneable [`ServiceHandle`]s. A handle
+//! is `Send + Sync + Clone` and cheap to pass to every ingest and query
+//! thread (a few `Arc`s and an `mpsc` sender).
 //!
 //! Queries pin one published snapshot for their whole execution: the
 //! version returned inside each view is the version every field of that
@@ -14,9 +14,8 @@
 use crate::chaos::{ChaosConfig, ChaosInjector, ChaosReport};
 use crate::epoch::{EpochCommand, EpochManager, EpochOutcome};
 use crate::log::{FeedbackEvent, FeedbackLog};
-use crate::obs::ServiceObs;
+use crate::obs::{ServiceObs, StatsReport};
 use crate::snapshot::{ScoreSnapshot, SnapshotCell};
-use crate::stats::{ServiceStats, StatsReport};
 use crate::wal::{GroupCommitObs, GroupCommitWal, Wal};
 use gossiptrust_core::id::NodeId;
 use gossiptrust_core::params::Params;
@@ -224,7 +223,6 @@ pub struct TopKView {
 pub struct ServiceHandle {
     log: Arc<FeedbackLog>,
     cell: Arc<SnapshotCell>,
-    stats: Arc<ServiceStats>,
     commands: Sender<EpochCommand>,
     /// Crash-recovery WAL behind one mutex; every ingest commits here on
     /// its own thread (one `write_all` + `flush` under the lock) *before*
@@ -234,12 +232,9 @@ pub struct ServiceHandle {
     wal: Option<Arc<GroupCommitWal>>,
     /// Admission-gate bound on `log.pending_events()`.
     ingest_capacity: u64,
-    /// Shared observability bundle — same registry the epoch loop and the
-    /// gossip engine record into.
+    /// Shared observability bundle — the one registry the epoch loop, the
+    /// gossip engine, the front-ends and any chaos injector record into.
     obs: Arc<ServiceObs>,
-    /// Chaos injector handle, so a metrics scrape can include the fault
-    /// counters (`None` = chaos off, counters export as zeros).
-    chaos: Option<Arc<ChaosInjector>>,
 }
 
 impl ServiceHandle {
@@ -263,7 +258,7 @@ impl ServiceHandle {
     fn admit(&self) -> Result<(), ServeError> {
         let pending = self.log.pending_events();
         if pending >= self.ingest_capacity {
-            self.stats.note_request_shed();
+            self.obs.requests_shed.inc();
             return Err(ServeError::Overloaded { pending, capacity: self.ingest_capacity });
         }
         Ok(())
@@ -284,7 +279,7 @@ impl ServiceHandle {
             let append = Stopwatch::start();
             wal.append(&event).map_err(ServeError::Wal)?;
             self.obs.wal_append_ns.record(append.elapsed_ns());
-            self.stats.note_wal_appended(1);
+            self.obs.wal_appended_records.inc();
         }
         self.log.record(event);
         self.obs.ingest_ns.record(sw.elapsed_ns());
@@ -304,7 +299,7 @@ impl ServiceHandle {
             let append = Stopwatch::start();
             wal.append_batch(rater, ratings).map_err(ServeError::Wal)?;
             self.obs.wal_append_ns.record(append.elapsed_ns());
-            self.stats.note_wal_appended(ratings.len() as u64);
+            self.obs.wal_appended_records.add(ratings.len() as u64);
         }
         self.log.record_batch(rater, ratings);
         self.obs.ingest_ns.record(sw.elapsed_ns());
@@ -321,7 +316,7 @@ impl ServiceHandle {
         let sw = Stopwatch::start();
         self.check_peer(peer)?;
         let snap = self.cell.load();
-        self.stats.note_query();
+        self.obs.queries_served.inc();
         let view = ScoreView {
             peer,
             score: snap.vector.score(peer),
@@ -337,7 +332,7 @@ impl ServiceHandle {
     pub fn top_k(&self, k: usize) -> TopKView {
         let sw = Stopwatch::start();
         let snap = self.cell.load();
-        self.stats.note_query();
+        self.obs.queries_served.inc();
         let peers = snap
             .ranking
             .iter()
@@ -354,7 +349,7 @@ impl ServiceHandle {
         let sw = Stopwatch::start();
         self.check_peer(peer)?;
         let snap = self.cell.load();
-        self.stats.note_query();
+        self.obs.queries_served.inc();
         let view = RankView {
             peer,
             exact_rank: snap.exact_rank(peer),
@@ -368,7 +363,7 @@ impl ServiceHandle {
 
     /// Current service counters.
     pub fn stats_report(&self) -> StatsReport {
-        self.stats.report()
+        self.obs.stats_report()
     }
 
     /// Total feedback events ingested so far.
@@ -387,22 +382,14 @@ impl ServiceHandle {
         self.log.raw_rows()
     }
 
-    /// The shared counter block (for front-ends that bump connection-level
-    /// counters).
-    pub(crate) fn service_stats(&self) -> Arc<ServiceStats> {
-        Arc::clone(&self.stats)
-    }
-
     /// The shared observability bundle (registry + tracer + handles).
     pub fn obs(&self) -> Arc<ServiceObs> {
         Arc::clone(&self.obs)
     }
 
-    /// The full Prometheus text exposition of this service right now:
-    /// every registry metric plus the [`StatsReport`] and chaos counters.
+    /// The full Prometheus text exposition of this service right now.
     pub fn metrics_text(&self) -> String {
-        let chaos = self.chaos.as_ref().map(|c| c.report());
-        self.obs.export(&self.stats.report(), chaos.as_ref())
+        self.obs.registry.render()
     }
 
     /// Run one epoch immediately and wait for its outcome.
@@ -446,7 +433,6 @@ impl ReputationService {
             config.base_seed,
             config.rank_config,
         )));
-        let stats = Arc::new(ServiceStats::new());
         let obs = Arc::new(ServiceObs::new(config.obs_events));
         let wal = config.wal_dir.as_ref().map(|dir| {
             let (wal, replay) = Wal::open(dir, n)
@@ -457,7 +443,7 @@ impl ReputationService {
             for event in &replay.events {
                 log.record(*event);
             }
-            stats.note_wal_replayed(replay.events.len() as u64);
+            obs.wal_replayed_records.add(replay.events.len() as u64);
             // From here on the recovered file sits behind the ingest lock.
             let commit_obs = GroupCommitObs {
                 group_records: Some(Arc::clone(&obs.wal_group_records)),
@@ -465,17 +451,16 @@ impl ReputationService {
             };
             Arc::new(GroupCommitWal::new(wal, commit_obs))
         });
-        let chaos = config.chaos.map(|c| Arc::new(ChaosInjector::new(c)));
+        let chaos = config.chaos.map(|c| Arc::new(ChaosInjector::new(c, &obs.registry)));
         let mut manager = EpochManager::new(
             Arc::clone(&log),
             Arc::clone(&cell),
-            Arc::clone(&stats),
+            Arc::clone(&obs),
             config.params,
             config.rank_config,
             config.base_seed,
             config.fail_epochs,
-        )
-        .with_obs(Arc::clone(&obs));
+        );
         if let Some(deadline) = config.epoch_deadline {
             manager = manager.with_deadline(deadline);
         }
@@ -491,12 +476,10 @@ impl ReputationService {
         let handle = ServiceHandle {
             log,
             cell,
-            stats,
             commands: tx.clone(),
             wal,
             ingest_capacity: config.ingest_queue.max(1) as u64,
             obs,
-            chaos: chaos.clone(),
         };
         ReputationService { handle, commands: tx, worker: Some(worker), chaos }
     }
@@ -668,12 +651,10 @@ mod tests {
                 1,
                 RankStorageConfig::default(),
             ))),
-            stats: Arc::new(ServiceStats::new()),
             commands,
             wal: Some(Arc::new(doomed)),
             ingest_capacity: 100,
             obs: Arc::new(ServiceObs::new(64)),
-            chaos: None,
         };
         let err = handle
             .record(NodeId(0), NodeId(1), 1.0)

@@ -8,10 +8,9 @@
 
 use crate::event::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Alternating-renewal churn model with exponential phases.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChurnModel {
     /// Mean online session length in µs.
     pub mean_session: SimTime,

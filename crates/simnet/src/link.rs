@@ -2,11 +2,10 @@
 
 use crate::event::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A simple wide-area link model: uniform latency in
 /// `[min_latency, max_latency]` (µs) and i.i.d. drop probability.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkModel {
     /// Minimum one-way latency in microseconds.
     pub min_latency: SimTime,

@@ -1,10 +1,9 @@
 //! Simulation metrics.
 
 use crate::event::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Counters collected by the discrete-event simulator.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimMetrics {
     /// Messages handed to the link layer.
     pub messages_sent: u64,

@@ -25,10 +25,9 @@ use gossiptrust_core::local::LocalTrust;
 use gossiptrust_core::matrix::TrustMatrix;
 use rand::seq::index::sample as index_sample;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Feedback-graph knobs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FeedbackConfig {
     /// Average feedback out-degree (Table 2: 20).
     pub d_avg: usize,

@@ -10,10 +10,9 @@
 use gossiptrust_core::id::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// What a peer is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PeerKind {
     /// Serves authentic content and reports feedback honestly.
     Honest,
@@ -34,7 +33,7 @@ impl PeerKind {
 }
 
 /// Threat-model knobs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ThreatConfig {
     /// Fraction `γ` of malicious peers.
     pub malicious_fraction: f64,
@@ -81,7 +80,7 @@ impl ThreatConfig {
 }
 
 /// A generated peer population.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Population {
     kinds: Vec<PeerKind>,
     authenticity: Vec<f64>,

@@ -14,10 +14,9 @@
 
 use crate::powerlaw::BoundedPareto;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Saroiu-style distribution of shared-file counts per peer.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SaroiuFiles {
     /// Fraction of peers sharing zero files.
     pub free_rider_fraction: f64,

@@ -4,10 +4,9 @@ use crate::feedback::{self, FeedbackConfig};
 use crate::population::{Population, ThreatConfig};
 use gossiptrust_core::matrix::TrustMatrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a full robustness scenario.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioConfig {
     /// Number of peers.
     pub n: usize,
