@@ -5,203 +5,15 @@
 //! `Σx(0)/Σw(0)`. These tests drive random instances and check both the
 //! conservation law and the limit value.
 //!
-//! Each property is a plain `check_*` function. The `proptest!` block
-//! drives it where the real proptest resolves; the `*_seeded` twins below
-//! drive it over fixed seeded cases everywhere (the offline stand-in
-//! expands `proptest!` to nothing).
+//! Each property is one `#[test]` looping `CASES` fixed-seed draws from its
+//! input ranges; a failing assertion names the case and the drawn inputs.
 
 use gossiptrust_core::prelude::*;
 use gossiptrust_gossip::{EngineConfig, PushSumNetwork, UniformChooser, VectorGossipEngine};
-use proptest::collection::vec;
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Scalar push-sum converges to Σx/Σw for arbitrary non-negative seeds
-/// with at least one positive weight.
-fn check_pushsum_converges_to_weighted_sum(xs: Vec<f64>, seed: u64, weight_holder: usize) {
-    let n = xs.len();
-    let mut ws = vec![0.0; n];
-    ws[weight_holder % n] = 1.0;
-    let expected: f64 = xs.iter().sum();
-    let mut net = PushSumNetwork::from_pairs(xs, ws, 1e-10, 3);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let min_steps = (n as f64).log2().ceil() as usize;
-    let out = net.run(min_steps, 5_000, &UniformChooser, &mut rng);
-    assert!(out.converged, "did not converge");
-    for r in out.ratios {
-        let v = r.expect("all weights positive at convergence");
-        let err = (v - expected).abs() / expected.abs().max(1e-12);
-        assert!(err < 1e-4, "ratio {v} vs expected {expected}");
-    }
-}
-
-/// Mass conservation holds after any number of lossless steps, for both
-/// x and w, regardless of target choices.
-fn check_pushsum_mass_conservation(xs: Vec<f64>, steps: usize, seed: u64) {
-    let n = xs.len();
-    let mut ws = vec![0.0; n];
-    ws[0] = 1.0;
-    let x_total: f64 = xs.iter().sum();
-    let mut net = PushSumNetwork::from_pairs(xs, ws, 1e-6, 1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..steps {
-        net.step(&UniformChooser, &mut rng);
-    }
-    let (x, w) = net.total_mass();
-    assert!((x - x_total).abs() < 1e-9);
-    assert!((w - 1.0).abs() < 1e-9);
-}
-
-/// The trust matrix `edges` builds over `n` nodes (ids folded into `0..n`).
-fn edge_matrix(n: usize, edges: &[(u32, u32, f64)]) -> TrustMatrix {
-    let mut b = TrustMatrixBuilder::new(n);
-    for &(i, j, r) in edges {
-        b.record(NodeId(i % n as u32), NodeId(j % n as u32), r);
-    }
-    b.build()
-}
-
-/// One cycle of the vector engine reproduces the exact centralized
-/// matrix–vector product for random trust matrices, on every node.
-fn check_vector_engine_matches_exact_matvec(
-    n: usize,
-    edges: &[(u32, u32, f64)],
-    seed: u64,
-    alpha: f64,
-) {
-    let m = edge_matrix(n, edges);
-    let v0 = ReputationVector::uniform(n);
-    let prior = Prior::uniform(n);
-    let params = Params::for_network(n).with_epsilon(1e-6);
-    let mut engine = VectorGossipEngine::new(n, EngineConfig::from_params(&params, n));
-    engine.seed(&m, &v0, &prior, alpha);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (_, converged) = engine.run(&UniformChooser, &mut rng);
-    assert!(converged);
-    let mut exact = vec![0.0; n];
-    m.transpose_mul(v0.values(), &mut exact).unwrap();
-    prior.mix_into(&mut exact, alpha);
-    for i in 0..n {
-        let est = engine.extract(NodeId::from_index(i));
-        for j in 0..n {
-            let rel = (est[j] - exact[j]).abs() / exact[j].abs().max(1e-12);
-            assert!(rel < 1e-3, "node {i} comp {j}: {} vs {}", est[j], exact[j]);
-        }
-    }
-}
-
-/// Component mass in the vector engine is conserved step by step when
-/// nothing is lost: Σ_i x_i[j] and Σ_i w_i[j] are invariant.
-fn check_vector_engine_mass_conservation(n: usize, steps: usize, seed: u64) {
-    let mut b = TrustMatrixBuilder::new(n);
-    for i in 0..n {
-        b.record(NodeId::from_index(i), NodeId::from_index((i + 1) % n), 1.0);
-    }
-    let m = b.build();
-    let params = Params::for_network(n);
-    let mut engine = VectorGossipEngine::new(n, EngineConfig::from_params(&params, n));
-    engine.seed(&m, &ReputationVector::uniform(n), &Prior::uniform(n), 0.15);
-    let before: Vec<(f64, f64)> =
-        (0..n).map(|j| engine.component_mass(NodeId::from_index(j))).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..steps {
-        engine.step(&UniformChooser, &mut rng);
-    }
-    for (j, &(x0, w0)) in before.iter().enumerate() {
-        let (x1, w1) = engine.component_mass(NodeId::from_index(j));
-        assert!((x0 - x1).abs() < 1e-10, "x mass comp {j}");
-        assert!((w0 - w1).abs() < 1e-10, "w mass comp {j}");
-    }
-}
-
-/// `par_step` on 1, 2 and 4 threads leaves every node's state bit-identical
-/// to the sequential `step` on the same matrix, seed and step count.
-fn check_par_step_is_bit_identical(n: usize, edges: &[(u32, u32, f64)], steps: usize, seed: u64) {
-    let m = edge_matrix(n, edges);
-    let run = |threads: Option<usize>| {
-        let config = EngineConfig::from_params(&Params::for_network(n), n);
-        let mut engine = VectorGossipEngine::new(n, config.with_threads(threads.unwrap_or(1)));
-        engine.seed(&m, &ReputationVector::uniform(n), &Prior::uniform(n), 0.15);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..steps {
-            match threads {
-                Some(_) => engine.par_step(&UniformChooser, &mut rng),
-                None => engine.step(&UniformChooser, &mut rng),
-            };
-        }
-        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
-        let state: Vec<Vec<u64>> =
-            (0..n).map(|i| bits(engine.extract(NodeId::from_index(i)))).collect();
-        let mass: Vec<(u64, u64)> = (0..n)
-            .map(|j| engine.component_mass(NodeId::from_index(j)))
-            .map(|(x, w)| (x.to_bits(), w.to_bits()))
-            .collect();
-        (state, mass, engine.stats())
-    };
-    let sequential = run(None);
-    for threads in [1, 2, 4] {
-        assert!(
-            run(Some(threads)) == sequential,
-            "{threads} threads diverge (n {n}, seed {seed})"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn pushsum_converges_to_weighted_sum(
-        xs in vec(0.0f64..10.0, 4..32),
-        seed in 0u64..1000,
-        weight_holder in 0usize..32,
-    ) {
-        check_pushsum_converges_to_weighted_sum(xs, seed, weight_holder);
-    }
-
-    #[test]
-    fn pushsum_mass_conservation(
-        xs in vec(0.0f64..5.0, 3..24),
-        steps in 1usize..60,
-        seed in 0u64..1000,
-    ) {
-        check_pushsum_mass_conservation(xs, steps, seed);
-    }
-
-    #[test]
-    fn vector_engine_matches_exact_matvec(
-        n in 4usize..20,
-        edges in vec((0u32..20, 0u32..20, 0.1f64..5.0), 5..60),
-        seed in 0u64..500,
-        alpha in 0.0f64..0.5,
-    ) {
-        check_vector_engine_matches_exact_matvec(n, &edges, seed, alpha);
-    }
-
-    #[test]
-    fn vector_engine_mass_conservation(
-        n in 4usize..16,
-        steps in 1usize..30,
-        seed in 0u64..500,
-    ) {
-        check_vector_engine_mass_conservation(n, steps, seed);
-    }
-
-    #[test]
-    fn par_step_is_bit_identical(
-        n in 4usize..40,
-        edges in vec((0u32..40, 0u32..40, 0.1f64..5.0), 5..120),
-        steps in 1usize..25,
-        seed in 0u64..500,
-    ) {
-        check_par_step_is_bit_identical(n, &edges, steps, seed);
-    }
-}
-
-// Seeded twins: the same checks over the same ranges, 64 fixed cases each.
-
-const SEEDED_CASES: usize = 64;
+const CASES: usize = 64;
 
 /// `len` draws from `range`.
 fn draw_vec(draw: &mut StdRng, range: std::ops::Range<f64>, len: usize) -> Vec<f64> {
@@ -221,58 +33,163 @@ fn draw_edges(draw: &mut StdRng, ids: u32, len: usize) -> Vec<(u32, u32, f64)> {
         .collect()
 }
 
+/// The trust matrix `edges` builds over `n` nodes (ids folded into `0..n`).
+fn edge_matrix(n: usize, edges: &[(u32, u32, f64)]) -> TrustMatrix {
+    let mut b = TrustMatrixBuilder::new(n);
+    for &(i, j, r) in edges {
+        b.record(NodeId(i % n as u32), NodeId(j % n as u32), r);
+    }
+    b.build()
+}
+
+/// Scalar push-sum converges to Σx/Σw for arbitrary non-negative seeds
+/// with at least one positive weight.
 #[test]
-fn pushsum_converges_to_weighted_sum_seeded() {
+fn pushsum_converges_to_weighted_sum() {
     let mut draw = StdRng::seed_from_u64(0x6055_0001);
-    for _ in 0..SEEDED_CASES {
-        let len = draw.random_range(4usize..32);
-        let xs = draw_vec(&mut draw, 0.0..10.0, len);
-        let (seed, holder) = (draw.random_range(0u64..1000), draw.random_range(0usize..32));
-        check_pushsum_converges_to_weighted_sum(xs, seed, holder);
+    for case in 0..CASES {
+        let n = draw.random_range(4usize..32);
+        let xs = draw_vec(&mut draw, 0.0..10.0, n);
+        let (seed, holder) = (draw.random_range(0u64..1000), draw.random_range(0usize..32) % n);
+        let ctx = format!("case {case}: xs {xs:?}, seed {seed}, weight holder {holder}");
+        let mut ws = vec![0.0; n];
+        ws[holder] = 1.0;
+        let expected: f64 = xs.iter().sum();
+        let mut net = PushSumNetwork::from_pairs(xs, ws, 1e-10, 3);
+        let min_steps = (n as f64).log2().ceil() as usize;
+        let out = net.run(min_steps, 5_000, &UniformChooser, &mut StdRng::seed_from_u64(seed));
+        assert!(out.converged, "{ctx}: did not converge");
+        for r in out.ratios {
+            let v = r.expect("all weights positive at convergence");
+            let err = (v - expected).abs() / expected.abs().max(1e-12);
+            assert!(err < 1e-4, "{ctx}: ratio {v} vs expected {expected}");
+        }
     }
 }
 
+/// Mass conservation holds after any number of lossless steps, for both
+/// x and w, regardless of target choices.
 #[test]
-fn pushsum_mass_conservation_seeded() {
+fn pushsum_mass_conservation() {
     let mut draw = StdRng::seed_from_u64(0x6055_0002);
-    for _ in 0..SEEDED_CASES {
-        let len = draw.random_range(3usize..24);
-        let xs = draw_vec(&mut draw, 0.0..5.0, len);
+    for case in 0..CASES {
+        let n = draw.random_range(3usize..24);
+        let xs = draw_vec(&mut draw, 0.0..5.0, n);
         let (steps, seed) = (draw.random_range(1usize..60), draw.random_range(0u64..1000));
-        check_pushsum_mass_conservation(xs, steps, seed);
+        let ctx = format!("case {case}: xs {xs:?}, {steps} steps, seed {seed}");
+        let mut ws = vec![0.0; n];
+        ws[0] = 1.0;
+        let x_total: f64 = xs.iter().sum();
+        let mut net = PushSumNetwork::from_pairs(xs, ws, 1e-6, 1);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..steps {
+            net.step(&UniformChooser, &mut rng);
+        }
+        let (x, w) = net.total_mass();
+        assert!((x - x_total).abs() < 1e-9, "{ctx}: Σx {x_total} -> {x}");
+        assert!((w - 1.0).abs() < 1e-9, "{ctx}: Σw 1 -> {w}");
     }
 }
 
+/// One cycle of the vector engine reproduces the exact centralized
+/// matrix–vector product for random trust matrices, on every node.
 #[test]
-fn vector_engine_matches_exact_matvec_seeded() {
+fn vector_engine_matches_exact_matvec() {
     let mut draw = StdRng::seed_from_u64(0x6055_0003);
-    for _ in 0..SEEDED_CASES {
+    for case in 0..CASES {
         let n = draw.random_range(4usize..20);
         let len = draw.random_range(5usize..60);
         let edges = draw_edges(&mut draw, 20, len);
         let (seed, alpha) = (draw.random_range(0u64..500), draw.random_range(0.0..0.5));
-        check_vector_engine_matches_exact_matvec(n, &edges, seed, alpha);
+        let ctx = format!("case {case}: n {n}, seed {seed}, alpha {alpha}, edges {edges:?}");
+        let m = edge_matrix(n, &edges);
+        let v0 = ReputationVector::uniform(n);
+        let prior = Prior::uniform(n);
+        let params = Params::for_network(n).with_epsilon(1e-6);
+        let mut engine = VectorGossipEngine::new(n, EngineConfig::from_params(&params, n));
+        engine.seed(&m, &v0, &prior, alpha);
+        let (_, converged) = engine.run(&UniformChooser, &mut StdRng::seed_from_u64(seed));
+        assert!(converged, "{ctx}");
+        let mut exact = vec![0.0; n];
+        m.transpose_mul(v0.values(), &mut exact).unwrap();
+        prior.mix_into(&mut exact, alpha);
+        for i in 0..n {
+            let est = engine.extract(NodeId::from_index(i));
+            for j in 0..n {
+                let rel = (est[j] - exact[j]).abs() / exact[j].abs().max(1e-12);
+                assert!(rel < 1e-3, "{ctx}: node {i} comp {j}: {} vs {}", est[j], exact[j]);
+            }
+        }
     }
 }
 
+/// Component mass in the vector engine is conserved step by step when
+/// nothing is lost: Σ_i x_i[j] and Σ_i w_i[j] are invariant.
 #[test]
-fn vector_engine_mass_conservation_seeded() {
+fn vector_engine_mass_conservation() {
     let mut draw = StdRng::seed_from_u64(0x6055_0004);
-    for _ in 0..SEEDED_CASES {
+    for case in 0..CASES {
         let n = draw.random_range(4usize..16);
         let (steps, seed) = (draw.random_range(1usize..30), draw.random_range(0u64..500));
-        check_vector_engine_mass_conservation(n, steps, seed);
+        let ctx = format!("case {case}: n {n}, {steps} steps, seed {seed}");
+        let mut b = TrustMatrixBuilder::new(n);
+        for i in 0..n {
+            b.record(NodeId::from_index(i), NodeId::from_index((i + 1) % n), 1.0);
+        }
+        let params = Params::for_network(n);
+        let mut engine = VectorGossipEngine::new(n, EngineConfig::from_params(&params, n));
+        engine.seed(&b.build(), &ReputationVector::uniform(n), &Prior::uniform(n), 0.15);
+        let before: Vec<(f64, f64)> =
+            (0..n).map(|j| engine.component_mass(NodeId::from_index(j))).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..steps {
+            engine.step(&UniformChooser, &mut rng);
+        }
+        for (j, &(x0, w0)) in before.iter().enumerate() {
+            let (x1, w1) = engine.component_mass(NodeId::from_index(j));
+            assert!((x0 - x1).abs() < 1e-10, "{ctx}: x mass comp {j}: {x0} -> {x1}");
+            assert!((w0 - w1).abs() < 1e-10, "{ctx}: w mass comp {j}: {w0} -> {w1}");
+        }
     }
 }
 
+/// `par_step` on 1, 2 and 4 threads leaves every node's state bit-identical
+/// to the sequential `step` on the same matrix, seed and step count.
 #[test]
-fn par_step_is_bit_identical_seeded() {
+fn par_step_is_bit_identical() {
     let mut draw = StdRng::seed_from_u64(0x6055_0005);
-    for _ in 0..SEEDED_CASES {
+    for case in 0..CASES {
         let n = draw.random_range(4usize..40);
         let len = draw.random_range(5usize..120);
         let edges = draw_edges(&mut draw, 40, len);
+        let m = edge_matrix(n, &edges);
         let (steps, seed) = (draw.random_range(1usize..25), draw.random_range(0u64..500));
-        check_par_step_is_bit_identical(n, &edges, steps, seed);
+        let run = |threads: Option<usize>| {
+            let config = EngineConfig::from_params(&Params::for_network(n), n);
+            let mut engine = VectorGossipEngine::new(n, config.with_threads(threads.unwrap_or(1)));
+            engine.seed(&m, &ReputationVector::uniform(n), &Prior::uniform(n), 0.15);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..steps {
+                match threads {
+                    Some(_) => engine.par_step(&UniformChooser, &mut rng),
+                    None => engine.step(&UniformChooser, &mut rng),
+                };
+            }
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+            let state: Vec<Vec<u64>> =
+                (0..n).map(|i| bits(engine.extract(NodeId::from_index(i)))).collect();
+            let mass: Vec<(u64, u64)> = (0..n)
+                .map(|j| engine.component_mass(NodeId::from_index(j)))
+                .map(|(x, w)| (x.to_bits(), w.to_bits()))
+                .collect();
+            (state, mass, engine.stats())
+        };
+        let sequential = run(None);
+        for threads in [1, 2, 4] {
+            assert!(
+                run(Some(threads)) == sequential,
+                "case {case}: {threads} threads diverge (n {n}, {steps} steps, seed {seed}, edges {edges:?})"
+            );
+        }
     }
 }

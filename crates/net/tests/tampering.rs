@@ -29,7 +29,7 @@ struct TamperingTransport {
 impl Transport for TamperingTransport {
     fn send(&self, to: u32, data: Bytes) {
         let seq = self.counter.fetch_add(1, Ordering::Relaxed);
-        if seq % self.period == 0 && data.len() > 20 {
+        if seq.is_multiple_of(self.period) && data.len() > 20 {
             let mut corrupted = data.to_vec();
             corrupted[12] ^= 0xFF; // flip a payload byte past the header
             self.inner.send(to, Bytes::from(corrupted));

@@ -416,7 +416,7 @@ mod tests {
             if hi == u64::MAX {
                 continue; // the saturated top bucket
             }
-            assert!(hi - lo + 1 <= lo / 4 + 1, "bucket {i} [{lo}, {hi}] too wide");
+            assert!(hi - lo <= lo / 4, "bucket {i} [{lo}, {hi}] too wide");
         }
     }
 

@@ -379,7 +379,8 @@ impl GroupCommitWal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A unique, collision-free scratch directory per test invocation —
@@ -553,16 +554,46 @@ mod tests {
         }
     }
 
-    proptest! {
-        /// Any event sequence round-trips bit-exactly through the framing,
-        /// and any tail truncation recovers the longest intact prefix.
-        #[test]
-        fn records_roundtrip_and_survive_any_truncation(
-            raw in proptest::collection::vec((0u32..32, 0u32..32, -1e9f64..1e9), 0..40),
-            cut in 0usize..=40 * RECORD_LEN,
-        ) {
-            let events: Vec<FeedbackEvent> =
-                raw.iter().map(|&(r, t, s)| ev(r, t, s)).collect();
+    /// Seeded cases per property below; a failing assertion names the case
+    /// and the drawn inputs.
+    const CASES: usize = 64;
+
+    /// `batches.start..batches.end` submissions of `lens` ratings each:
+    /// targets below `ids`, scores within ±`scale`.
+    fn draw_batches(
+        draw: &mut StdRng,
+        batches: std::ops::Range<usize>,
+        lens: std::ops::Range<usize>,
+        ids: u32,
+        scale: f64,
+    ) -> Vec<Vec<(u32, f64)>> {
+        (0..draw.random_range(batches))
+            .map(|_| {
+                (0..draw.random_range(lens.clone()))
+                    .map(|_| (draw.random_range(0..ids), draw.random_range(-scale..scale)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn node_ratings(ratings: &[(u32, f64)]) -> Vec<(NodeId, f64)> {
+        ratings.iter().map(|&(t, s)| (NodeId(t), s)).collect()
+    }
+
+    /// Any event sequence round-trips bit-exactly through the framing,
+    /// and any tail truncation recovers the longest intact prefix.
+    #[test]
+    fn records_roundtrip_and_survive_any_truncation() {
+        let mut draw = StdRng::seed_from_u64(0x3A1_0001);
+        for case in 0..CASES {
+            let events: Vec<FeedbackEvent> = (0..draw.random_range(0..40))
+                .map(|_| {
+                    let (rater, target) = (draw.random_range(0..32), draw.random_range(0..32));
+                    ev(rater, target, draw.random_range(-1e9..1e9))
+                })
+                .collect();
+            let cut = draw.random_range(0..=40 * RECORD_LEN).min(events.len() * RECORD_LEN);
+            let ctx = format!("case {case}: cut {cut} bytes off {events:?}");
             let dir = scratch_dir("prop");
             let (mut wal, _) = Wal::open(&dir, 32).expect("open");
             for e in &events {
@@ -572,55 +603,23 @@ mod tests {
             drop(wal);
 
             // Clean reopen: everything comes back bit-for-bit.
+            let event_bits = |events: &[FeedbackEvent]| -> Vec<(NodeId, NodeId, u64)> {
+                events
+                    .iter()
+                    .map(|e| (e.rater, e.target, e.score.to_bits()))
+                    .collect()
+            };
             let (_, replay) = Wal::open(&dir, 32).expect("reopen");
-            prop_assert_eq!(replay.events.len(), events.len());
-            for (got, want) in replay.events.iter().zip(&events) {
-                prop_assert_eq!(got.rater, want.rater);
-                prop_assert_eq!(got.target, want.target);
-                prop_assert_eq!(got.score.to_bits(), want.score.to_bits());
-            }
+            assert_eq!(event_bits(&replay.events), event_bits(&events), "{ctx}");
 
             // Truncate `cut` bytes off the tail: the replay is exactly the
             // records that remained whole.
             let bytes = std::fs::read(&path).expect("read");
-            let cut = cut.min(bytes.len() - HEADER_LEN as usize);
             std::fs::write(&path, &bytes[..bytes.len() - cut]).expect("truncate");
             let (_, replay) = Wal::open(&dir, 32).expect("recover");
             let whole = (bytes.len() - HEADER_LEN as usize - cut) / RECORD_LEN;
-            prop_assert_eq!(replay.events.len(), whole);
-            for (got, want) in replay.events.iter().zip(&events) {
-                prop_assert_eq!(got.score.to_bits(), want.score.to_bits());
-            }
+            assert_eq!(event_bits(&replay.events), event_bits(&events[..whole]), "{ctx}");
             std::fs::remove_dir_all(&dir).expect("cleanup");
-        }
-
-        /// The shared front is byte-identical to sequential appends:
-        /// whatever order concurrent submitters take the lock in, the file
-        /// they leave behind equals a plain `Wal` appending the replayed
-        /// event sequence one record at a time — no framing around a
-        /// submission, no padding, no reordering inside a batch.
-        #[test]
-        fn group_commit_file_is_byte_identical_to_sequential_appends(
-            per_rater in proptest::collection::vec(
-                proptest::collection::vec((0u32..24, -1e6f64..1e6), 1..8),
-                1..6,
-            ),
-        ) {
-            check_group_matches_sequential(&per_rater);
-        }
-
-        /// A tail torn mid-batch replays the longest valid record prefix —
-        /// exactly as for sequentially appended files — and the log keeps
-        /// accepting commits after recovery.
-        #[test]
-        fn torn_tail_mid_group_replays_longest_valid_prefix(
-            batches in proptest::collection::vec(
-                proptest::collection::vec((0u32..16, -1e3f64..1e3), 1..5),
-                1..5,
-            ),
-            cut in 1usize..=3 * RECORD_LEN,
-        ) {
-            check_torn_tail_mid_group(&batches, cut);
         }
     }
 
@@ -641,122 +640,123 @@ mod tests {
         bytes
     }
 
-    /// Shared body for the byte-identity property: drive `per_rater`
-    /// batches through a concurrently shared [`GroupCommitWal`], then
-    /// assert the resulting file equals a plain sequential `Wal` replaying
-    /// the same event order, and that every batch stayed contiguous.
-    fn check_group_matches_sequential(per_rater: &[Vec<(u32, f64)>]) {
-        let dir = scratch_dir("group-prop");
-        let (wal, _) = Wal::open(&dir, 24).expect("open");
-        let path = wal.path().to_path_buf();
-        let group = front(wal);
-        // One submitting thread per rater: batches from different raters
-        // interleave however the lock happens to order them.
-        let total: usize = per_rater.iter().map(|b| b.len()).sum();
-        std::thread::scope(|scope| {
-            for (r, ratings) in per_rater.iter().enumerate() {
-                let group = &group;
-                scope.spawn(move || {
-                    let ratings: Vec<(NodeId, f64)> =
-                        ratings.iter().map(|&(t, s)| (NodeId(t), s)).collect();
-                    group.append_batch(NodeId(r as u32), &ratings).expect("commit");
-                });
-            }
-        });
-        drop(group);
-
-        let grouped_bytes = std::fs::read(&path).expect("read grouped");
-        let (_, replay) = Wal::open(&dir, 24).expect("replay grouped");
-        assert_eq!(replay.truncated_bytes, 0, "a commit must not tear");
-        assert_eq!(replay.events.len(), total, "every acked record is durable");
-        assert_eq!(
-            grouped_bytes,
-            sequential_bytes(&replay.events, 24),
-            "on-disk layout must be byte-identical"
-        );
-
-        // Each rater's batch stayed contiguous and in order: its records
-        // appear as one uninterrupted run.
-        for (r, ratings) in per_rater.iter().enumerate() {
-            let mine = replay.events.iter().filter(|e| e.rater.index() == r).count();
-            assert_eq!(mine, ratings.len());
-            let first = replay
-                .events
-                .iter()
-                .position(|e| e.rater.index() == r)
-                .expect("batch present");
-            for (k, &(t, s)) in ratings.iter().enumerate() {
-                let e = &replay.events[first + k];
-                assert_eq!(e.rater.index(), r, "batch must stay contiguous");
-                assert_eq!(e.target.0, t);
-                assert_eq!(e.score.to_bits(), s.to_bits());
-            }
-        }
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    /// Shared body for the torn-tail property: commit `batches`, chop
-    /// `cut` bytes off the tail, and assert recovery keeps exactly the
-    /// whole-record prefix and accepts further commits.
-    fn check_torn_tail_mid_group(batches: &[Vec<(u32, f64)>], cut: usize) {
-        let dir = scratch_dir("group-torn");
-        let (wal, _) = Wal::open(&dir, 16).expect("open");
-        let path = wal.path().to_path_buf();
-        let group = front(wal);
-        for (r, ratings) in batches.iter().enumerate() {
-            let ratings: Vec<(NodeId, f64)> =
-                ratings.iter().map(|&(t, s)| (NodeId(t), s)).collect();
-            group.append_batch(NodeId(r as u32), &ratings).expect("commit");
-        }
-        drop(group);
-
-        let bytes = std::fs::read(&path).expect("read");
-        let cut = cut.min(bytes.len() - HEADER_LEN as usize);
-        std::fs::write(&path, &bytes[..bytes.len() - cut]).expect("tear");
-        let (wal, replay) = Wal::open(&dir, 16).expect("recover");
-        let whole = (bytes.len() - HEADER_LEN as usize - cut) / RECORD_LEN;
-        assert_eq!(replay.events.len(), whole, "longest valid prefix");
-
-        // Recovery hands the file back to a fresh front and appends land
-        // cleanly after the truncation point.
-        let group = front(wal);
-        group.append(&ev(3, 4, 5.0)).expect("append after recovery");
-        drop(group);
-        let (_, replay) = Wal::open(&dir, 16).expect("reopen");
-        assert_eq!(replay.events.len(), whole + 1);
-        assert_eq!(replay.truncated_bytes, 0);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    /// The byte-identity property pinned on fixed scenarios, so the
-    /// contract is exercised even when the proptest harness is absent
-    /// (the offline build swallows `proptest!` bodies): five contending
-    /// submitters, then a lone one.
+    /// The shared front is byte-identical to sequential appends:
+    /// whatever order concurrent submitters take the lock in, the file
+    /// they leave behind equals a plain `Wal` appending the replayed
+    /// event sequence one record at a time — no framing around a
+    /// submission, no padding, no reordering inside a batch.
     #[test]
-    fn group_commit_matches_sequential_fixed_scenarios() {
-        let heavy: Vec<Vec<(u32, f64)>> = (0..5u32)
+    fn group_commit_file_is_byte_identical_to_sequential_appends() {
+        let mut draw = StdRng::seed_from_u64(0x3A1_0002);
+        let drawn = (0..CASES).map(|_| draw_batches(&mut draw, 1..6, 1..8, 24, 1e6));
+        // Five contending submitters of six ratings each, then a lone one.
+        let heavy = (0..5u32)
             .map(|r| {
                 (0..6u32)
                     .map(|k| (k % 24, f64::from(r * 10 + k) * 0.5 - 7.0))
                     .collect()
             })
             .collect();
-        check_group_matches_sequential(&heavy);
-        check_group_matches_sequential(&[vec![(3, 1.5), (9, -2.25)]]);
+        let corners = [heavy, vec![vec![(3, 1.5), (9, -2.25)]]];
+        for (case, per_rater) in drawn.chain(corners).enumerate() {
+            let ctx = format!("case {case}: batches {per_rater:?}");
+            let dir = scratch_dir("group-prop");
+            let (wal, _) = Wal::open(&dir, 24).expect("open");
+            let path = wal.path().to_path_buf();
+            let group = front(wal);
+            // One submitting thread per rater: batches from different raters
+            // interleave however the lock happens to order them.
+            std::thread::scope(|scope| {
+                for (r, ratings) in per_rater.iter().enumerate() {
+                    let group = &group;
+                    scope.spawn(move || {
+                        group
+                            .append_batch(NodeId(r as u32), &node_ratings(ratings))
+                            .expect("commit");
+                    });
+                }
+            });
+            drop(group);
+
+            let grouped_bytes = std::fs::read(&path).expect("read grouped");
+            let (_, replay) = Wal::open(&dir, 24).expect("replay grouped");
+            let total: usize = per_rater.iter().map(Vec::len).sum();
+            assert_eq!(replay.truncated_bytes, 0, "{ctx}: a commit must not tear");
+            assert_eq!(replay.events.len(), total, "{ctx}: every acked record is durable");
+            assert_eq!(
+                grouped_bytes,
+                sequential_bytes(&replay.events, 24),
+                "{ctx}: on-disk layout must be byte-identical"
+            );
+
+            // Each rater's batch stayed contiguous and in order: its records
+            // appear as one uninterrupted run.
+            for (r, ratings) in per_rater.iter().enumerate() {
+                let is_mine = |e: &FeedbackEvent| e.rater.index() == r;
+                let first = replay.events.iter().position(is_mine).expect("batch present");
+                let run: Vec<(u32, u64)> = replay.events[first..]
+                    .iter()
+                    .take_while(|e| is_mine(e))
+                    .map(|e| (e.target.0, e.score.to_bits()))
+                    .collect();
+                let want: Vec<(u32, u64)> =
+                    ratings.iter().map(|&(t, s)| (t, s.to_bits())).collect();
+                assert_eq!(run, want, "{ctx}: rater {r}'s batch must stay contiguous, in order");
+                let mine = replay.events.iter().filter(|e| is_mine(e)).count();
+                assert_eq!(mine, ratings.len(), "{ctx}: rater {r}");
+            }
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
     }
 
-    /// The torn-tail property pinned on fixed cuts: mid-record, exactly
-    /// one record, and deeper than one batch.
+    /// A tail torn mid-batch replays the longest valid record prefix —
+    /// exactly as for sequentially appended files — and the log keeps
+    /// accepting commits after recovery.
     #[test]
-    fn torn_tail_mid_group_fixed_scenarios() {
-        let batches: Vec<Vec<(u32, f64)>> = vec![
+    fn torn_tail_mid_group_replays_longest_valid_prefix() {
+        let mut draw = StdRng::seed_from_u64(0x3A1_0003);
+        let drawn = (0..CASES).map(|_| {
+            let batches = draw_batches(&mut draw, 1..5, 1..5, 16, 1e3);
+            (batches, draw.random_range(1..=3 * RECORD_LEN))
+        });
+        // Mid-record, exactly one record, and deeper than one batch.
+        let fixed = vec![
             vec![(1, 0.5), (2, 1.5), (3, -0.5)],
             vec![(4, 9.0)],
             vec![(5, 2.0), (6, 3.0)],
         ];
-        check_torn_tail_mid_group(&batches, 7);
-        check_torn_tail_mid_group(&batches, RECORD_LEN);
-        check_torn_tail_mid_group(&batches, 2 * RECORD_LEN + 11);
+        let corners = [7, RECORD_LEN, 2 * RECORD_LEN + 11].map(|cut| (fixed.clone(), cut));
+        for (case, (batches, cut)) in drawn.chain(corners).enumerate() {
+            let ctx = format!("case {case}: cut {cut} bytes off batches {batches:?}");
+            let dir = scratch_dir("group-torn");
+            let (wal, _) = Wal::open(&dir, 16).expect("open");
+            let path = wal.path().to_path_buf();
+            let group = front(wal);
+            for (r, ratings) in batches.iter().enumerate() {
+                group
+                    .append_batch(NodeId(r as u32), &node_ratings(ratings))
+                    .expect("commit");
+            }
+            drop(group);
+
+            let bytes = std::fs::read(&path).expect("read");
+            let cut = cut.min(bytes.len() - HEADER_LEN as usize);
+            std::fs::write(&path, &bytes[..bytes.len() - cut]).expect("tear");
+            let (wal, replay) = Wal::open(&dir, 16).expect("recover");
+            let whole = (bytes.len() - HEADER_LEN as usize - cut) / RECORD_LEN;
+            assert_eq!(replay.events.len(), whole, "{ctx}: longest valid prefix");
+
+            // Recovery hands the file back to a fresh front and appends land
+            // cleanly after the truncation point.
+            let group = front(wal);
+            group.append(&ev(3, 4, 5.0)).expect("append after recovery");
+            drop(group);
+            let (_, replay) = Wal::open(&dir, 16).expect("reopen");
+            assert_eq!(replay.events.len(), whole + 1, "{ctx}");
+            assert_eq!(replay.events[whole], ev(3, 4, 5.0), "{ctx}");
+            assert_eq!(replay.truncated_bytes, 0, "{ctx}");
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
     }
 
     /// splitmix64 — the model test's own generator (no ambient entropy).

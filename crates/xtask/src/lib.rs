@@ -14,8 +14,7 @@
 //!   points, and panic-path freedom for request-serving code.
 //!
 //! Findings are reported in a human format and, on request, as SARIF
-//! 2.1 ([`sarif`]) for CI annotation. A content-hash cache ([`cache`])
-//! short-circuits clean re-runs. See `DESIGN.md` §8 for the contract
+//! 2.1 ([`sarif`]) for CI annotation. See `DESIGN.md` §8 for the contract
 //! rationale and the documented imprecision of the call-graph
 //! approximation.
 //!
@@ -32,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod cache;
 pub mod config;
 pub mod graph;
 pub mod lexer;
@@ -46,7 +44,7 @@ use rules::Violation;
 use std::path::Path;
 
 /// Outcome of a full lint run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct LintReport {
     /// Violations that survived the waiver filter (non-empty = fail).
     pub violations: Vec<Violation>,
@@ -57,8 +55,6 @@ pub struct LintReport {
     pub expired_waivers: Vec<config::Waiver>,
     /// How many files were scanned.
     pub files_scanned: usize,
-    /// True when the result came from the clean-run cache.
-    pub from_cache: bool,
 }
 
 impl LintReport {
@@ -68,31 +64,19 @@ impl LintReport {
     }
 }
 
-/// Run the full gt-lint pass over the workspace at `root`, using the
-/// clean-run cache.
-///
-/// See [`run_lint_with`] for details.
-///
-/// # Errors
-/// As for [`run_lint_with`].
-pub fn run_lint(root: &Path) -> Result<LintReport, String> {
-    run_lint_with(root, true)
-}
-
 /// Run the full gt-lint pass over the workspace at `root`.
 ///
 /// Reads `lint.toml` at the root (absence = no waivers, no workspace
 /// analysis), scans every lintable source (see [`walk::rust_sources`]),
 /// runs the per-file rules and — when `[analysis]` is configured — the
 /// call-graph rule families, and filters violations through the waiver
-/// list. With `use_cache`, a content-hash hit from a previous fully-clean
-/// run short-circuits the scan.
+/// list.
 ///
 /// # Errors
 /// Configuration problems (malformed lint.toml, waivers naming unknown
 /// rules or nonexistent files) and unreadable sources are errors — a lint
 /// run must never silently skip what it cannot check.
-pub fn run_lint_with(root: &Path, use_cache: bool) -> Result<LintReport, String> {
+pub fn run_lint(root: &Path) -> Result<LintReport, String> {
     let config_path = root.join("lint.toml");
     let config_text = if config_path.is_file() {
         std::fs::read_to_string(&config_path).map_err(|e| format!("reading lint.toml: {e}"))?
@@ -114,32 +98,14 @@ pub fn run_lint_with(root: &Path, use_cache: bool) -> Result<LintReport, String>
         .cloned()
         .collect();
 
-    // Read every source once; the contents feed the cache key, the token
-    // rules, and the parser.
+    // Layer 1: per-file token rules.
     let files = walk::rust_sources(root);
-    let mut sources: Vec<String> = Vec::with_capacity(files.len());
-    let mut key = cache::Fnv::default();
-    key.update(cache::LINT_VERSION.as_bytes());
-    key.update(config_text.as_bytes());
+    let mut raw: Vec<Violation> = Vec::new();
+    let mut tokens: Vec<Vec<lexer::Token>> = Vec::with_capacity(files.len());
     for rel in &files {
         let source =
             std::fs::read_to_string(root.join(rel)).map_err(|e| format!("reading {rel}: {e}"))?;
-        key.update(rel.as_bytes());
-        key.update(source.as_bytes());
-        sources.push(source);
-    }
-    let key = key.hex();
-    if use_cache && expired_waivers.is_empty() {
-        if let Some(files_scanned) = cache::is_clean_hit(root, &key) {
-            return Ok(LintReport { files_scanned, from_cache: true, ..Default::default() });
-        }
-    }
-
-    // Layer 1: per-file token rules.
-    let mut raw: Vec<Violation> = Vec::new();
-    let mut tokens: Vec<Vec<lexer::Token>> = Vec::with_capacity(files.len());
-    for (rel, source) in files.iter().zip(&sources) {
-        let toks = lexer::tokenize(source);
+        let toks = lexer::tokenize(&source);
         raw.extend(rules::check_file(rel, &toks, rules::classify(rel)));
         tokens.push(toks);
     }
@@ -186,17 +152,7 @@ pub fn run_lint_with(root: &Path, use_cache: bool) -> Result<LintReport, String>
         .filter(|(_, &u)| !u)
         .map(|(w, _)| w.clone())
         .collect();
-    let report = LintReport {
-        violations,
-        unused_waivers,
-        expired_waivers,
-        files_scanned: files.len(),
-        from_cache: false,
-    };
-    if use_cache && report.is_clean() && report.unused_waivers.is_empty() {
-        cache::record_clean(root, &key, report.files_scanned);
-    }
-    Ok(report)
+    Ok(LintReport { violations, unused_waivers, expired_waivers, files_scanned: files.len() })
 }
 
 #[cfg(test)]
@@ -214,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_tree_is_clean_and_caches() {
+    fn clean_tree_is_clean() {
         let root = scratch("clean");
         fs::write(
             root.join("crates/k/src/lib.rs"),
@@ -224,23 +180,6 @@ mod tests {
         let report = run_lint(&root).unwrap();
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!(report.files_scanned, 1);
-        assert!(!report.from_cache);
-        // Second identical run hits the cache.
-        let report = run_lint(&root).unwrap();
-        assert!(report.is_clean());
-        assert!(report.from_cache);
-        assert_eq!(report.files_scanned, 1);
-        // An edit invalidates it.
-        fs::write(
-            root.join("crates/k/src/lib.rs"),
-            "#![forbid(unsafe_code)]\npub fn f(x: f64) -> bool { x > 0.25 }\n",
-        )
-        .unwrap();
-        let report = run_lint(&root).unwrap();
-        assert!(!report.from_cache);
-        // --no-cache never reads nor hits.
-        let report = run_lint_with(&root, false).unwrap();
-        assert!(!report.from_cache);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -253,7 +192,7 @@ mod tests {
         )
         .unwrap();
         // Unwaived: one float-eq violation.
-        let report = run_lint_with(&root, false).unwrap();
+        let report = run_lint(&root).unwrap();
         assert_eq!(report.violations.len(), 1);
         // Waived: clean, waiver used.
         fs::write(
@@ -262,7 +201,7 @@ mod tests {
              expires = \"2099-12-31\"\n",
         )
         .unwrap();
-        let report = run_lint_with(&root, false).unwrap();
+        let report = run_lint(&root).unwrap();
         assert!(report.is_clean());
         assert!(report.unused_waivers.is_empty());
         // Over-waived: a second waiver that matches nothing is reported.
@@ -274,7 +213,7 @@ mod tests {
              expires = \"2099-12-31\"\n",
         )
         .unwrap();
-        let report = run_lint_with(&root, false).unwrap();
+        let report = run_lint(&root).unwrap();
         assert_eq!(report.unused_waivers.len(), 1);
         assert_eq!(report.unused_waivers[0].rule, "entropy");
         let _ = fs::remove_dir_all(&root);
@@ -294,7 +233,7 @@ mod tests {
              expires = \"2020-01-01\"\n",
         )
         .unwrap();
-        let report = run_lint_with(&root, false).unwrap();
+        let report = run_lint(&root).unwrap();
         // The waiver still suppresses the violation but its expiry fails
         // the run — renew (with a fresh justification) or fix the code.
         assert!(report.violations.is_empty());
@@ -314,12 +253,12 @@ mod tests {
         )
         .unwrap();
         // Without [analysis]: only the lexical time-source rule fires.
-        let report = run_lint_with(&root, false).unwrap();
+        let report = run_lint(&root).unwrap();
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].rule, "time-source");
         // With [analysis]: the taint rule fires too.
         fs::write(root.join("lint.toml"), "[analysis]\ntaint_sinks = [\"step_slab\"]\n").unwrap();
-        let report = run_lint_with(&root, false).unwrap();
+        let report = run_lint(&root).unwrap();
         assert!(report.violations.iter().any(|v| v.rule == "taint-clock"), "{report:?}");
         let _ = fs::remove_dir_all(&root);
     }

@@ -3,7 +3,6 @@
 //! ```text
 //! cargo xtask lint                    # run gt-lint over the whole workspace
 //! cargo xtask lint --sarif out.sarif  # also write SARIF 2.1 for CI upload
-//! cargo xtask lint --no-cache         # ignore the clean-run cache
 //! cargo xtask lint --list-waivers     # print the active lint.toml waivers
 //! cargo xtask lint --list-rules       # print the rule set
 //! ```
@@ -14,7 +13,7 @@
 #![forbid(unsafe_code)]
 
 use gossiptrust_xtask::rules::RULE_NAMES;
-use gossiptrust_xtask::{run_lint_with, sarif, walk};
+use gossiptrust_xtask::{run_lint, sarif, walk};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -26,10 +25,7 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
         None => {
-            eprintln!(
-                "usage: cargo xtask lint [--sarif <path>] [--no-cache] \
-                 [--list-rules | --list-waivers]"
-            );
+            eprintln!("usage: cargo xtask lint [--sarif <path>] [--list-rules | --list-waivers]");
             ExitCode::from(2)
         }
     }
@@ -56,7 +52,6 @@ fn lint(flags: &[String]) -> ExitCode {
     }
 
     let mut sarif_path: Option<String> = None;
-    let mut use_cache = true;
     let mut it = flags.iter();
     while let Some(f) = it.next() {
         match f.as_str() {
@@ -66,10 +61,7 @@ fn lint(flags: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 };
                 sarif_path = Some(p.clone());
-                // SARIF must reflect a real scan, not a cache hit.
-                use_cache = false;
             }
-            "--no-cache" => use_cache = false,
             "--list-waivers" => {}
             other => {
                 eprintln!("gt-lint: unknown flag {other:?}");
@@ -94,7 +86,7 @@ fn lint(flags: &[String]) -> ExitCode {
         }
     }
 
-    match run_lint_with(&root, use_cache) {
+    match run_lint(&root) {
         Ok(report) => {
             if let Some(path) = sarif_path {
                 if let Err(e) = std::fs::write(&path, sarif::to_sarif(&report.violations)) {
@@ -116,8 +108,7 @@ fn lint(flags: &[String]) -> ExitCode {
                 );
             }
             if report.is_clean() {
-                let cached = if report.from_cache { " (cached)" } else { "" };
-                println!("gt-lint: {} files clean{cached}", report.files_scanned);
+                println!("gt-lint: {} files clean", report.files_scanned);
                 ExitCode::SUCCESS
             } else {
                 for v in &report.violations {

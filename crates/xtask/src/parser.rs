@@ -202,12 +202,10 @@ impl Parser<'_> {
         if has("cfg") && (has("feature") || has("debug_assertions")) {
             attrs.cfg_gated = true;
         }
-        // `#[test]`, `#[bench]`, `#[proptest]` — a body
-        // that *is* a test entry point.
+        // `#[test]`, `#[bench]` — a body that *is* a test entry point.
         if body
             .first()
             .is_some_and(|t| t.is_ident("test") || t.is_ident("bench"))
-            || body.first().is_some_and(|t| t.is_ident("proptest"))
         {
             attrs.test_fn = true;
         }

@@ -3,21 +3,20 @@
 //! Each family has a committed pair of mini-workspaces under
 //! `crates/xtask/fixtures/`: one that provably trips the rule and one
 //! that stays clean while containing the same tempting construct off the
-//! analyzed paths. Running the real `run_lint_with` over them pins both
-//! the detection and the precision side of every rule.
+//! analyzed paths. Running the real `run_lint` over them pins both the
+//! detection and the precision side of every rule.
 
 use gossiptrust_xtask::rules::Violation;
-use gossiptrust_xtask::run_lint_with;
+use gossiptrust_xtask::run_lint;
 use std::path::PathBuf;
 
-/// Lint one committed fixture workspace. The cache is disabled so the
-/// run never writes a `target/` directory into the committed tree.
+/// Lint one committed fixture workspace.
 fn lint_fixture(name: &str) -> Vec<Violation> {
     // env!, not env::var: the manifest dir is a compile-time constant and
     // the env-var rule exists to keep runtime reads out of this crate.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(name);
     assert!(root.is_dir(), "missing fixture {}", root.display());
-    let report = run_lint_with(&root, false).unwrap_or_else(|e| panic!("lint {name}: {e}"));
+    let report = run_lint(&root).unwrap_or_else(|e| panic!("lint {name}: {e}"));
     assert!(report.expired_waivers.is_empty(), "{name}: {:?}", report.expired_waivers);
     report.violations
 }
